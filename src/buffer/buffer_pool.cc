@@ -419,9 +419,10 @@ Result<PageHandle> BufferPool::FixPage(txn::TxnContext* ctx,
     if (f.pending_fetch != 0) {
       // The page is a claimed target of an in-flight prefetch: reap that
       // fetch first (this is where submit-early/reap-late callers pay the
-      // remaining I/O wait), then re-probe — a failed read hands the frame
-      // back. The re-probe is counted, matching the serial pool.
-      (void)WaitFetchInternal(ctx, f.pending_fetch, lock);
+      // remaining I/O wait; a foreign context pays only this page's read),
+      // then re-probe — a failed read hands the frame back. The re-probe is
+      // counted, matching the serial pool.
+      (void)WaitFetchInternal(ctx, f.pending_fetch, lock, frame);
       count_probe = true;
       continue;
     }
@@ -530,6 +531,7 @@ Status BufferPool::SubmitFetch(txn::TxnContext* ctx, const PageKey* keys,
   WriterLock lock(latch_);
   PendingFetch fetch;
   fetch.id = next_fetch_id_++;
+  fetch.owner = ctx;
 
   // Claim a frame per absent page and hand every contiguous same-tablespace
   // run to the backend as soon as it is formed: claiming (and its possible
@@ -662,7 +664,8 @@ Status BufferPool::WaitFetch(txn::TxnContext* ctx, FetchTicket ticket) {
 }
 
 Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
-                                     WriterLock& lock) {
+                                     WriterLock& lock,
+                                     uint32_t touched_frame) {
   if (ticket == 0) return Status::OK();
   PendingFetch fetch;
   for (;;) {
@@ -673,6 +676,19 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
       fetch = std::move(*it);
       pending_fetches_.erase(it);
       break;
+    }
+    // Already reaped by another context: the batch completion was kept for
+    // this (owning) caller.
+    auto done = std::find_if(
+        reaped_for_owner_.begin(), reaped_for_owner_.end(),
+        [&](const ReapedFetch& r) { return r.id == ticket; });
+    if (done != reaped_for_owner_.end()) {
+      const ReapedFetch reaped = std::move(*done);
+      reaped_for_owner_.erase(done);
+      if (ctx != nullptr) {
+        ChargeOwner(ctx, reaped.complete, reaped.pages_read, lock);
+      }
+      return reaped.first_error;
     }
     // Not registered. Either the fetch was already reaped (no frame still
     // references it — done), or it is mid-submission / mid-reap on another
@@ -697,7 +713,9 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
   }
   lock.lock();
 
-  SimTime max_complete = ctx != nullptr ? ctx->now : 0;
+  SimTime batch_complete = 0;
+  SimTime touched_latency = 0;
+  uint64_t pages_read = 0;
   Status first_error;
   for (size_t r = 0; r < fetch.runs.size(); r++) {
     FetchRun& run = fetch.runs[r];
@@ -723,19 +741,38 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
         if (first_error.ok()) first_error = rs;
         continue;
       }
-      if (ctx != nullptr) ctx->pages_read++;
+      pages_read++;
       stats_.batched_fetch_pages++;
-      max_complete = std::max(max_complete, run.reqs[k].complete);
+      batch_complete = std::max(batch_complete, run.reqs[k].complete);
+      if (run.frames[k] == touched_frame) {
+        touched_latency = run.reqs[k].complete - run.issue;
+      }
     }
   }
   cv_.notify_all();
+  if (ctx != nullptr && ctx == fetch.owner) {
+    ChargeOwner(ctx, batch_complete, pages_read, lock);
+    return first_error;
+  }
+  // A foreign reap: the batch completion lives on the owner's clock, so it
+  // is kept for the owner's WaitFetch; the toucher waits only for its page.
+  reaped_for_owner_.push_back({fetch.id, batch_complete, pages_read,
+                               first_error});
   if (ctx != nullptr) {
-    const SimTime wait = max_complete > ctx->now ? max_complete - ctx->now : 0;
-    ctx->read_wait_us += wait;
-    ctx->AdvanceTo(max_complete);
+    ctx->read_wait_us += touched_latency;
+    ctx->AdvanceTo(ctx->now + touched_latency);
     MaybeFlushBackground(ctx, lock);
   }
   return first_error;
+}
+
+void BufferPool::ChargeOwner(txn::TxnContext* ctx, SimTime complete,
+                             uint64_t pages_read, WriterLock& lock) {
+  const SimTime wait = complete > ctx->now ? complete - ctx->now : 0;
+  ctx->read_wait_us += wait;
+  ctx->pages_read += pages_read;
+  ctx->AdvanceTo(complete);
+  MaybeFlushBackground(ctx, lock);
 }
 
 void BufferPool::Unfix(const PageHandle& handle, bool dirty) {

@@ -340,6 +340,13 @@ class BufferPool {
   /// for ticket 0 or an already-reaped ticket; `ctx` may be null (timing
   /// is then not accounted — internal cleanup paths only). Returns the
   /// first per-page error, like FetchPages.
+  ///
+  /// Owner-aware reaping: a fetch belongs to the context that submitted it.
+  /// When another context touches one of its in-flight pages (FixPage), the
+  /// reads are delivered then, but the toucher is charged only that page's
+  /// read latency from its own clock — never the owner's batch completion —
+  /// and the batch completion is kept for the owner, whose WaitFetch still
+  /// advances to it.
   Status WaitFetch(txn::TxnContext* ctx, FetchTicket ticket);
 
   /// Drop the pin; `dirty=true` marks the frame for write-back.
@@ -400,7 +407,19 @@ class BufferPool {
 
   struct PendingFetch {
     FetchTicket id = 0;
+    /// The submitting context: the only one a reap advances to the batch
+    /// completion.
+    const txn::TxnContext* owner = nullptr;
     std::vector<FetchRun> runs;
+  };
+
+  /// A fetch that a foreign context (or a context-less cleanup) reaped: the
+  /// owner's WaitFetch collects the batch completion and read count here.
+  struct ReapedFetch {
+    FetchTicket id = 0;
+    SimTime complete = 0;
+    uint64_t pages_read = 0;
+    Status first_error;
   };
 
   // --- Frame-table access with the direct-mapped front cache in front ---
@@ -453,9 +472,19 @@ class BufferPool {
 
   /// Locked core of WaitFetch: reap `ticket` (waiting out a fetch that is
   /// mid-submission or mid-reap on another thread), finalize its frames.
+  /// The owner advances to the batch completion. Any other caller leaves
+  /// that completion for the owner; if `touched_frame` names one of the
+  /// fetch's frames, the caller is charged that page's read latency from
+  /// its own clock.
   Status WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
-                           WriterLock& lock)
+                           WriterLock& lock,
+                           uint32_t touched_frame = FrameTable::kNoFrame)
       REQUIRES(latch_) NO_THREAD_SAFETY_ANALYSIS;
+
+  /// Owner-side accounting of a reaped fetch: advance to the batch
+  /// completion, charge the wait, count the reads.
+  void ChargeOwner(txn::TxnContext* ctx, SimTime complete, uint64_t pages_read,
+                   WriterLock& lock) REQUIRES(latch_);
 
   void DiscardInternal(const PageKey& key, WriterLock& lock) REQUIRES(latch_);
 
@@ -485,6 +514,8 @@ class BufferPool {
   uint32_t flush_hand_ GUARDED_BY(latch_) = 0;
   /// In-flight fetches, submission order.
   std::vector<PendingFetch> pending_fetches_ GUARDED_BY(latch_);
+  /// Fetches reaped by a non-owner, awaiting their owner's WaitFetch.
+  std::vector<ReapedFetch> reaped_for_owner_ GUARDED_BY(latch_);
   /// Claim pins currently held by in-flight fetches, across all of them —
   /// capped at half the pool so stacked submit-early fetches can never pin
   /// every evictable frame.

@@ -90,7 +90,7 @@ enum class LockRank : uint16_t {
   /// space, which takes this briefly; it is never held across shard calls.
   kShardPending = 800,
   /// Leaf bookkeeping with no lock acquired beneath it: ObjectIoStats,
-  /// PageIo fallback-ticket map.
+  /// PageIo fallback-ticket map, the threaded TPC-C driver's clock gate.
   kLeafStats = 900,
 };
 

@@ -1,5 +1,6 @@
 #include "index/btree.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <mutex>
@@ -400,6 +401,45 @@ Status BTree::PrefetchLeaves(txn::TxnContext* ctx, Key128 from, Key128 to,
   }
   pool_->Unfix(*h, /*dirty=*/false);
   return pool_->SubmitFetch(ctx, keys, ticket);
+}
+
+Status BTree::SubmitLeafFetch(txn::TxnContext* ctx,
+                              const std::vector<Key128>& keys,
+                              buffer::FetchTicket* ticket) {
+  *ticket = 0;
+  if (keys.empty()) return Status::OK();
+  ReaderLock lock(latch_);
+  const uint32_t ts = tablespace_->tablespace_id();
+  // Sorted keys route to children in key order, so each level's distinct
+  // nodes come out sorted: node n of a level owns the keys from first[n] up
+  // to first[n + 1].
+  std::vector<Key128> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<buffer::PageKey> level = {{ts, root_page_}};
+  std::vector<size_t> first = {0};
+  for (uint32_t depth = 0; depth + 1 < height_; depth++) {
+    if (level.size() > 1) NOFTL_RETURN_IF_ERROR(pool_->FetchPages(ctx, level));
+    std::vector<buffer::PageKey> children;
+    std::vector<size_t> children_first;
+    for (size_t n = 0; n < level.size(); n++) {
+      auto h = pool_->FixPage(ctx, level[n], /*create=*/false);
+      if (!h.ok()) return h.status();
+      Node node{h->data, tablespace_->page_size()};
+      assert(!node.IsLeaf());
+      const size_t end = n + 1 < level.size() ? first[n + 1] : sorted.size();
+      for (size_t k = first[n]; k < end; k++) {
+        const uint64_t child = node.ChildFor(sorted[k], nullptr);
+        if (children.empty() || children.back().page_no != child) {
+          children.push_back({ts, child});
+          children_first.push_back(k);
+        }
+      }
+      pool_->Unfix(*h, /*dirty=*/false);
+    }
+    level.swap(children);
+    first.swap(children_first);
+  }
+  return pool_->SubmitFetch(ctx, level, ticket);
 }
 
 Status BTree::ScanRange(txn::TxnContext* ctx, Key128 from, Key128 to,

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/annotated_mutex.h"
@@ -80,6 +81,19 @@ class BTree {
   /// reads.
   Status ScanRange(txn::TxnContext* ctx, Key128 from, Key128 to,
                    const std::function<bool(Key128, uint64_t)>& fn);
+
+  /// Submit-early half of a batch of point lookups: descend every key
+  /// together — each internal level made resident by one batched read —
+  /// and submit the distinct leaves as one queued fetch, returning without
+  /// waiting. The caller's Lookup calls then reap the fetch at the first
+  /// leaf touch and hit the pool, so k cold probes wait for one round trip
+  /// instead of k. `*ticket` names the in-flight fetch (0 = every leaf
+  /// resident); reap it with BufferPool::WaitFetch. Logical results of the
+  /// lookups are unchanged.
+  Status SubmitLeafFetch(txn::TxnContext* ctx, const std::vector<Key128>& keys,
+                         buffer::FetchTicket* ticket);
+
+  buffer::BufferPool* pool() const { return pool_; }
 
   /// Structural validation: key order within and across nodes, separator
   /// correctness, leaf chain completeness, entry count. O(n); test aid.

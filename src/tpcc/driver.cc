@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <queue>
@@ -493,7 +494,6 @@ Result<DriverReport> TpccDriver::RunThreaded() {
       t.deck_pos = 0;
     }
     const TxnType type = t.deck[t.deck_pos++];
-    const SimTime sim_before = t.ctx.now;
     // GC-overlap sample: racy across workers (another worker's GC window can
     // bleed in), which only errs toward the GC-active bucket — conservative
     // for the tail gates.
@@ -572,35 +572,90 @@ Result<DriverReport> TpccDriver::RunThreaded() {
       } else {
         tally->rollbacks++;
       }
-      if (options_.wall_pace > 0 && t.ctx.now > sim_before) {
-        // Closed-loop pacing: block for this transaction's simulated
-        // duration (scaled). All locks are released here, so other workers'
-        // transactions overlap this wait exactly as real device I/O would.
-        std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(
-            static_cast<double>(t.ctx.now - sim_before) * options_.wall_pace));
-      }
     }
     return true;
   };
 
-  // Terminals are dealt round-robin to workers; within a worker they
-  // advance one transaction at a time in rotation, approximating the
-  // closed-loop interleaving of the deterministic driver.
+  // Run phase. Terminals are dealt round-robin to workers. Each worker runs
+  // its smallest-clock terminal next, as the deterministic driver does
+  // globally, and starts it only once that clock is within
+  // kThreadedLagWindowUs of the slowest active worker's: every worker
+  // publishes the start clock of the transaction it runs (or waits to run)
+  // next, and blocks on a condition variable while it leads the minimum by
+  // more than the window. Clocks stay local and are only published between
+  // transactions — the local-clock, delayed-update discipline of an
+  // event-driven simulation — so a lagging worker's I/O never queues behind
+  // dies the others pushed far ahead. The minimum worker always proceeds,
+  // and a finished worker leaves the minimum, so the gate cannot deadlock.
+  // Returns the largest lead over the minimum that any start saw.
   auto run_phase = [&](uint64_t txns_per_terminal, bool measuring,
                        std::vector<WorkerTally>* tallies) {
+    constexpr SimTime kIdle = ~SimTime{0};
+    constexpr size_t kNone = ~size_t{0};
+    noftl::Mutex gate_mu(noftl::LockRank::kLeafStats);
+    std::condition_variable_any gate_cv;
+    std::vector<SimTime> next_start(workers, kIdle);
+    SimTime max_lead = 0;
+    std::vector<uint64_t> left(terminals.size(), txns_per_terminal);
+    // Worker k's next terminal: its smallest clock with quota left.
+    auto pick = [&](uint32_t k) {
+      size_t best = kNone;
+      for (size_t i = k; i < terminals.size(); i += workers) {
+        if (left[i] != 0 && (best == kNone || terminals[i].ctx.now <
+                                                  terminals[best].ctx.now)) {
+          best = i;
+        }
+      }
+      return best;
+    };
+    auto start_of = [&](size_t i) {
+      return i == kNone ? kIdle : terminals[i].ctx.now;
+    };
+    auto slowest = [&] {
+      return *std::min_element(next_start.begin(), next_start.end());
+    };
+    // Publish every worker's first start before any thread runs, so no
+    // worker measures its lead against a partial minimum.
+    for (uint32_t k = 0; k < workers; k++) next_start[k] = start_of(pick(k));
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (uint32_t k = 0; k < workers; k++) {
       pool.emplace_back([&, k] {
         WorkerTally& tally = (*tallies)[k];
-        for (uint64_t n = 0; n < txns_per_terminal; n++) {
-          for (uint32_t i = k; i < options_.terminals; i += workers) {
-            if (!run_one(terminals[i], &tally, measuring)) return;
+        for (size_t i = pick(k); i != kNone;) {
+          {
+            MutexLock lock(gate_mu);
+            while (next_start[k] > slowest() + kThreadedLagWindowUs) {
+              gate_cv.wait(lock);
+            }
+            max_lead = std::max(max_lead, next_start[k] - slowest());
+          }
+          const SimTime before = terminals[i].ctx.now;
+          const bool ok = run_one(terminals[i], &tally, measuring);
+          left[i]--;
+          const SimTime took = terminals[i].ctx.now - before;
+          // Publish the next start (a failed transaction stops this worker)
+          // before any pacing sleep, so the others never wait out the sleep.
+          i = ok ? pick(k) : kNone;
+          {
+            MutexLock lock(gate_mu);
+            next_start[k] = start_of(i);
+            gate_cv.notify_all();
+          }
+          if (measuring && options_.wall_pace > 0 && took > 0) {
+            // Closed-loop pacing: block for this transaction's simulated
+            // duration (scaled). No lock is held, so other workers'
+            // transactions overlap this wait exactly as real device I/O
+            // would.
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::micro>(
+                    static_cast<double>(took) * options_.wall_pace));
           }
         }
       });
     }
     for (auto& th : pool) th.join();
+    return max_lead;
   };
   auto first_error = [](const std::vector<WorkerTally>& tallies) {
     for (const WorkerTally& t : tallies) {
@@ -624,12 +679,14 @@ Result<DriverReport> TpccDriver::RunThreaded() {
   std::vector<WorkerTally> tallies(workers);
   const SchedTotals sched_base = CollectSchedTotals(db_->database());
   const auto wall_start = std::chrono::steady_clock::now();
-  run_phase(quota - warmup_quota, /*measuring=*/true, &tallies);
+  const SimTime max_lead =
+      run_phase(quota - warmup_quota, /*measuring=*/true, &tallies);
   const auto wall_end = std::chrono::steady_clock::now();
   NOFTL_RETURN_IF_ERROR(first_error(tallies));
   db_->database()->ClearShardPlacementHint();
 
   DriverReport report;
+  report.max_start_lead_us = max_lead;
   SimTime end_time = measure_start;
   for (const Terminal& t : terminals) {
     end_time = std::max(end_time, t.ctx.now);

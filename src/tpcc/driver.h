@@ -17,6 +17,12 @@
 
 namespace noftl::tpcc {
 
+/// Threaded mode: a worker starts a transaction only while its terminal's
+/// simulated clock is at most this far ahead of the slowest active worker's.
+/// Without a bound, a worker that falls behind issues its I/O onto dies the
+/// others already pushed far into the future and waits out the whole gap.
+inline constexpr SimTime kThreadedLagWindowUs = 20000;
+
 struct DriverOptions {
   uint32_t terminals = 8;
   /// Stop after this many *measured* transactions (committed + rolled back)...
@@ -61,12 +67,13 @@ struct DriverOptions {
   /// displace queued foreground work. Deterministic driver only.
   SimTime think_time_us = 0;
   /// Real OS worker threads driving the terminals concurrently (terminals
-  /// are dealt round-robin to workers; per-warehouse mutexes serialize
-  /// conflicting transactions). 0 (default) = the deterministic
-  /// event-ordered single-thread loop above — byte-identical runs. Threaded
-  /// mode requires per_terminal_streams (so the committed work stays
-  /// digest-equal to the deterministic run) and supports neither
-  /// global_wl_interval nor max_sim_time_us.
+  /// are dealt round-robin to workers, each running its smallest-clock
+  /// terminal within kThreadedLagWindowUs of the slowest worker;
+  /// per-warehouse mutexes serialize conflicting transactions). 0 (default)
+  /// = the deterministic event-ordered single-thread loop above —
+  /// byte-identical runs. Threaded mode requires per_terminal_streams (so
+  /// the committed work stays digest-equal to the deterministic run) and
+  /// supports neither global_wl_interval nor max_sim_time_us.
   uint32_t worker_threads = 0;
   /// Threaded mode: emulate device latency in wall-clock time. After each
   /// measured transaction the worker sleeps for the transaction's simulated
@@ -101,6 +108,9 @@ struct DriverReport {
   /// only simulated time is meaningful).
   uint64_t wall_elapsed_us = 0;
   double wall_tps = 0;
+  /// Threaded mode only: the largest lead of a measured transaction's start
+  /// clock over the slowest active worker's (at most kThreadedLagWindowUs).
+  SimTime max_start_lead_us = 0;
 
   Histogram response_us[kNumTxnTypes];  ///< per transaction type
 

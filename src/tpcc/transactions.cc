@@ -12,11 +12,11 @@ using storage::RecordId;
 namespace {
 
 /// Submit-early/reap-late prefetch scope. Submit() enqueues a heap's record
-/// pages and returns immediately; the transaction keeps computing (index
-/// probes, row CPU) while the reads are in flight, and the first access of a
-/// fetched page reaps its fetch. The destructor reaps whatever was never
-/// touched — on early-error returns included — so no claim pins outlive the
-/// transaction.
+/// pages, or the leaves an index's point probes will read, and returns
+/// immediately; the transaction keeps computing (index probes, row CPU)
+/// while the reads are in flight, and the first access of a fetched page
+/// reaps its fetch. The destructor reaps whatever was never touched — on
+/// early-error returns included — so no claim pins outlive the transaction.
 class PrefetchScope {
  public:
   explicit PrefetchScope(txn::TxnContext* ctx) : ctx_(ctx) {}
@@ -31,14 +31,24 @@ class PrefetchScope {
   Status Submit(storage::HeapFile* heap, const std::vector<RecordId>& rids) {
     buffer::FetchTicket ticket = 0;
     NOFTL_RETURN_IF_ERROR(heap->SubmitPrefetch(ctx_, rids, &ticket));
-    if (ticket != 0) {
-      pools_.push_back(heap->pool());
-      tickets_.push_back(ticket);
-    }
+    Track(heap->pool(), ticket);
+    return Status::OK();
+  }
+
+  Status Submit(index::BTree* tree, const std::vector<Key128>& keys) {
+    buffer::FetchTicket ticket = 0;
+    NOFTL_RETURN_IF_ERROR(tree->SubmitLeafFetch(ctx_, keys, &ticket));
+    Track(tree->pool(), ticket);
     return Status::OK();
   }
 
  private:
+  void Track(buffer::BufferPool* pool, buffer::FetchTicket ticket) {
+    if (ticket == 0) return;
+    pools_.push_back(pool);
+    tickets_.push_back(ticket);
+  }
+
   txn::TxnContext* ctx_;
   std::vector<buffer::BufferPool*> pools_;
   std::vector<buffer::FetchTicket> tickets_;
@@ -147,6 +157,8 @@ Status TpccTransactions::CustomerByName(txn::TxnContext* ctx, int32_t w,
   if (rids.empty()) return Status::NotFound("no customer with last name");
 
   std::vector<CustomerRow> rows(rids.size());
+  PrefetchScope prefetch(ctx);
+  if (batched_io_) NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->customer, rids));
   for (size_t i = 0; i < rids.size(); i++) {
     NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->customer, rids[i], &rows[i]));
   }
@@ -267,15 +279,25 @@ Status TpccTransactions::NewOrder(txn::TxnContext* ctx, int32_t w,
   NOFTL_RETURN_IF_ERROR(
       db_->no_idx->Insert(ctx, NewOrderKey(w, d, o_id), nrid->Pack()));
 
-  // Batched I/O: resolve every line's item and stock record first, then
-  // submit both tables' page reads and keep going — the submissions return
-  // immediately, the first item access reaps the item fetch while the stock
-  // reads are still in flight, and the per-line CPU in between hides under
-  // the queued I/O. Logical results are identical to the blocking prefetch.
+  // Batched I/O: submit the item and stock index leaves of every line
+  // together, resolve the records (the first probe of each index reaps its
+  // leaf fetch, the rest hit), then submit both tables' page reads and keep
+  // going — the submissions return immediately, the first item access reaps
+  // the item fetch while the stock reads are still in flight, and the
+  // per-line CPU in between hides under the queued I/O. Logical results are
+  // identical to the blocking prefetch.
   std::vector<RecordId> irids(ol_cnt);
   std::vector<RecordId> srids(ol_cnt);
   PrefetchScope prefetch(ctx);
   if (batched_io_) {
+    std::vector<Key128> ikeys;
+    std::vector<Key128> skeys;
+    for (const Line& line : lines) {
+      ikeys.push_back(ItemKey(line.i_id));
+      skeys.push_back(StockKey(line.supply_w, line.i_id));
+    }
+    NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->i_idx, ikeys));
+    NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->s_idx, skeys));
     for (int32_t n = 0; n < ol_cnt; n++) {
       const Line& line = lines[n];
       ctx->AddCpu(cpu_.per_index_probe_us);
@@ -626,6 +648,15 @@ Status TpccTransactions::StockLevel(txn::TxnContext* ctx, int32_t w,
         }));
   }
 
+  // Batched I/O: the stock index leaves of every item go out as one fetch
+  // before the probes, the stock rows as another after them.
+  PrefetchScope stock_prefetch(ctx);
+  if (batched_io_) {
+    std::vector<Key128> skeys;
+    skeys.reserve(items.size());
+    for (int32_t i_id : items) skeys.push_back(StockKey(w, i_id));
+    NOFTL_RETURN_IF_ERROR(stock_prefetch.Submit(db_->s_idx, skeys));
+  }
   std::vector<RecordId> srids;
   srids.reserve(items.size());
   for (int32_t i_id : items) {
@@ -634,7 +665,6 @@ Status TpccTransactions::StockLevel(txn::TxnContext* ctx, int32_t w,
     if (!srid.ok()) return srid.status();
     srids.push_back(RecordId::Unpack(*srid));
   }
-  PrefetchScope stock_prefetch(ctx);
   if (batched_io_) {
     NOFTL_RETURN_IF_ERROR(stock_prefetch.Submit(db_->stock, srids));
   }

@@ -36,8 +36,11 @@ class TpccTransactions {
   /// Batched I/O (default on): multi-row operations resolve their record
   /// ids first and make the data pages resident through one batched
   /// submission (NewOrder's item/stock rows, Delivery's and OrderStatus's
-  /// order lines, StockLevel's order-line and stock rows), and index range
-  /// reads prefetch their leaves. Off = the serial one-page-at-a-time
+  /// order lines, StockLevel's order-line and stock rows, the customers
+  /// matching a last name), point probes whose keys are known up front
+  /// submit their index leaves together (NewOrder's item/stock probes,
+  /// StockLevel's stock probes), and index range reads prefetch their
+  /// leaves. Off = the serial one-page-at-a-time
   /// baseline (A/B measurements; identical logical behaviour and identical
   /// rng consumption either way).
   void SetBatchedIo(bool on);

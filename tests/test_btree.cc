@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "db/database.h"
 #include "index/btree.h"
 #include "test_harness.h"
 
@@ -175,6 +176,201 @@ TEST_F(BTreeTest, DescendingInsertOrderWorks) {
                                 return true;
                               }).ok());
   EXPECT_EQ(prev, 400u);
+}
+
+// --- Batched leaf probes (SubmitLeafFetch) ----------------------------
+
+/// Eight dies on eight channels: cold leaves on distinct dies read in
+/// parallel, so a batched probe costs about one read.
+StackOptions WideStack(uint32_t frames) {
+  StackOptions o;
+  o.channels = 8;
+  o.dies_per_channel = 1;
+  o.region_dies = 8;
+  o.blocks_per_die = 128;
+  o.frames = frames;
+  return o;
+}
+
+/// Write every page of the stack's tablespace back and drop it from the
+/// pool, so the next access of any node reads flash.
+void MakeCold(NativeStack* s) {
+  ASSERT_TRUE(s->pool->FlushAll(&s->ctx).ok());
+  for (uint64_t p = 0; p < s->tablespace->page_count(); p++) {
+    s->pool->Discard({s->tablespace->tablespace_id(), p});
+  }
+}
+
+TEST(BTreeLeafFetchTest, MatchesLookupAcrossLeavesAndForAbsentKeys) {
+  NativeStack s(WideStack(/*frames=*/64));
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "IDX", s.tablespace.get(), s.pool.get(), &s.ctx));
+  for (uint64_t k = 0; k < 2000; k += 2) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k * 7).ok());
+  }
+  ASSERT_GE(tree->height(), 3u);
+  MakeCold(&s);
+
+  // Present and absent keys (odd ones were never inserted) spread over most
+  // leaves, in no particular order, with a duplicate.
+  std::vector<Key128> keys;
+  Rng rng(5);
+  for (int i = 0; i < 120; i++) keys.push_back({rng.Below(2100), 0});
+  keys.push_back(keys.front());
+  buffer::FetchTicket ticket = 0;
+  ASSERT_TRUE(tree->SubmitLeafFetch(&s.ctx, keys, &ticket).ok());
+  for (const Key128& key : keys) {
+    auto got = tree->Lookup(&s.ctx, key);
+    if (key.hi % 2 == 0 && key.hi < 2000) {
+      ASSERT_TRUE(got.ok()) << key.hi;
+      EXPECT_EQ(*got, key.hi * 7);
+    } else {
+      EXPECT_TRUE(got.status().IsNotFound()) << key.hi;
+    }
+  }
+  ASSERT_TRUE(s.pool->WaitFetch(&s.ctx, ticket).ok());
+  ASSERT_TRUE(s.pool->VerifyIntegrity().ok());
+  ASSERT_TRUE(tree->Validate(&s.ctx).ok());
+
+  // No keys: nothing to submit.
+  ASSERT_TRUE(tree->SubmitLeafFetch(&s.ctx, {}, &ticket).ok());
+  EXPECT_EQ(ticket, 0u);
+}
+
+TEST(BTreeLeafFetchTest, HeightOneTreeFetchesTheRoot) {
+  NativeStack s(WideStack(/*frames=*/64));
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "IDX", s.tablespace.get(), s.pool.get(), &s.ctx));
+  for (uint64_t k = 1; k <= 5; k++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k + 100).ok());
+  }
+  ASSERT_EQ(tree->height(), 1u);
+  MakeCold(&s);
+
+  const std::vector<Key128> keys = {{3, 0}, {9, 0}, {1, 0}};
+  buffer::FetchTicket ticket = 0;
+  ASSERT_TRUE(tree->SubmitLeafFetch(&s.ctx, keys, &ticket).ok());
+  EXPECT_NE(ticket, 0u);  // the cold root is the one leaf
+  EXPECT_EQ(*tree->Lookup(&s.ctx, {3, 0}), 103u);
+  EXPECT_TRUE(tree->Lookup(&s.ctx, {9, 0}).status().IsNotFound());
+  EXPECT_EQ(*tree->Lookup(&s.ctx, {1, 0}), 101u);
+  ASSERT_TRUE(s.pool->WaitFetch(&s.ctx, ticket).ok());
+  EXPECT_EQ(s.ctx.pages_read, 1u);
+}
+
+TEST(BTreeLeafFetchTest, ColdProbesWaitForOneReadNotOnePerKey) {
+  NativeStack s(WideStack(/*frames=*/64));
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "IDX", s.tablespace.get(), s.pool.get(), &s.ctx));
+  // Ascending inserts leave ten keys per leaf: leaf i holds 10i..10i+9.
+  for (uint64_t k = 0; k < 150; k++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k).ok());
+  }
+  ASSERT_EQ(tree->height(), 2u);
+  MakeCold(&s);
+
+  // A first probe makes the root resident; a second measures one read.
+  ASSERT_TRUE(tree->Lookup(&s.ctx, {5, 0}).ok());
+  SimTime before = s.ctx.now;
+  ASSERT_TRUE(tree->Lookup(&s.ctx, {145, 0}).ok());
+  const SimTime one_read = s.ctx.now - before;
+  ASSERT_GT(one_read, 0u);
+
+  // k keys on k distinct cold leaves.
+  constexpr uint64_t kProbes = 8;
+  std::vector<Key128> keys;
+  for (uint64_t i = 1; i <= kProbes; i++) keys.push_back({10 * i + 5, 0});
+  before = s.ctx.now;
+  const uint64_t reads_before = s.ctx.pages_read;
+  buffer::FetchTicket ticket = 0;
+  ASSERT_TRUE(tree->SubmitLeafFetch(&s.ctx, keys, &ticket).ok());
+  EXPECT_EQ(s.ctx.now, before);  // submitted, not waited for
+  for (const Key128& key : keys) {
+    ASSERT_EQ(*tree->Lookup(&s.ctx, key), key.hi);
+  }
+  ASSERT_TRUE(s.pool->WaitFetch(&s.ctx, ticket).ok());
+  const SimTime batched = s.ctx.now - before;
+  EXPECT_EQ(s.ctx.pages_read - reads_before, kProbes);
+  EXPECT_LE(batched, 2 * one_read);
+  EXPECT_LT(batched * 3, kProbes * one_read);
+}
+
+TEST(BTreeLeafFetchTest, MoreLeavesThanHalfThePoolStayInBudget) {
+  NativeStack s(WideStack(/*frames=*/16));
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "IDX", s.tablespace.get(), s.pool.get(), &s.ctx));
+  for (uint64_t k = 0; k < 600; k++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k + 1).ok());
+  }
+  MakeCold(&s);
+
+  // Every key: far more distinct leaves than the 8-frame claim budget.
+  std::vector<Key128> keys;
+  for (uint64_t k = 0; k < 600; k++) keys.push_back({k, 0});
+  buffer::FetchTicket ticket = 0;
+  ASSERT_TRUE(tree->SubmitLeafFetch(&s.ctx, keys, &ticket).ok());
+  // A second fetch stacked on the first still leaves frames to fix pages.
+  buffer::FetchTicket second = 0;
+  ASSERT_TRUE(tree->SubmitLeafFetch(&s.ctx, {{10, 0}, {590, 0}}, &second).ok());
+  for (uint64_t k = 0; k < 600; k += 37) {
+    auto got = tree->Lookup(&s.ctx, {k, 0});
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, k + 1);
+  }
+  ASSERT_TRUE(s.pool->WaitFetch(&s.ctx, ticket).ok());
+  ASSERT_TRUE(s.pool->WaitFetch(&s.ctx, second).ok());
+  ASSERT_TRUE(s.pool->VerifyIntegrity().ok());
+  ASSERT_TRUE(tree->Validate(&s.ctx).ok());
+}
+
+TEST(BTreeLeafFetchTest, SnapshotContextFetchesVersionedFrames) {
+  db::DatabaseOptions o;
+  o.geometry.channels = 4;
+  o.geometry.dies_per_channel = 4;
+  o.geometry.planes_per_die = 1;
+  o.geometry.blocks_per_die = 32;
+  o.geometry.pages_per_block = 16;
+  o.geometry.page_size = 512;
+  o.buffer.frame_count = 128;
+  o.default_extent_pages = 8;
+  auto db = db::Database::Open(o);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)
+                  ->ExecuteScript("CREATE REGION r (MAX_CHIPS=8);"
+                                  "CREATE TABLESPACE ts (REGION=r);")
+                  .ok());
+  auto created = (*db)->CreateIndex("IDX", "ts");
+  ASSERT_TRUE(created.ok());
+  BTree* tree = *created;
+  txn::TxnContext ctx;
+  for (uint64_t k = 0; k < 300; k++) {
+    ASSERT_TRUE(tree->Insert(&ctx, {k, 0}, k).ok());
+  }
+  auto snap = (*db)->OpenSnapshot(&ctx);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  // Rewrite every value after the snapshot and push the new leaves to flash.
+  for (uint64_t k = 0; k < 300; k++) {
+    ASSERT_TRUE(tree->Delete(&ctx, {k, 0}).ok());
+    ASSERT_TRUE(tree->Insert(&ctx, {k, 0}, k + 1000).ok());
+  }
+  ASSERT_TRUE((*db)->buffer()->FlushAll(&ctx).ok());
+
+  txn::TxnContext snap_ctx;
+  snap_ctx.now = ctx.now;
+  snap_ctx.snapshot_seq = *snap;
+  std::vector<Key128> keys;
+  for (uint64_t k = 0; k < 300; k += 10) keys.push_back({k, 0});
+  buffer::FetchTicket ticket = 0;
+  ASSERT_TRUE(tree->SubmitLeafFetch(&snap_ctx, keys, &ticket).ok());
+  ASSERT_NE(ticket, 0u);  // the snapshot's leaf versions were never cached
+  ASSERT_TRUE((*db)->buffer()->WaitFetch(&snap_ctx, ticket).ok());
+  const uint64_t reads = snap_ctx.pages_read;
+  for (const Key128& key : keys) {
+    EXPECT_EQ(*tree->Lookup(&snap_ctx, key), key.hi);  // as of the snapshot
+    EXPECT_EQ(*tree->Lookup(&ctx, key), key.hi + 1000);  // latest, unaliased
+  }
+  EXPECT_EQ(snap_ctx.pages_read, reads);  // every snapshot probe hit
+  (*db)->ReleaseSnapshot(*snap);
 }
 
 // --- Parameterized property tests -------------------------------------

@@ -60,6 +60,21 @@ class FakeTablespace : public PageIo {
   std::map<uint64_t, std::vector<char>> store_;
 };
 
+/// Reads of page p take 100 * p us, so the pages of one batch complete at
+/// distinct times.
+class StaggeredTablespace : public FakeTablespace {
+ public:
+  using FakeTablespace::FakeTablespace;
+
+  Status ReadPageRaw(uint64_t page_no, SimTime issue, char* data,
+                     SimTime* complete, uint64_t read_seq = 0) override {
+    NOFTL_RETURN_IF_ERROR(
+        FakeTablespace::ReadPageRaw(page_no, issue, data, complete, read_seq));
+    *complete = issue + 100 * page_no;
+    return Status::OK();
+  }
+};
+
 BufferOptions SmallPool(uint32_t frames) {
   BufferOptions o;
   o.frame_count = frames;
@@ -458,6 +473,61 @@ TEST(FrontCacheTest, DisabledFrontCacheStillWorks) {
     pool.Unfix(*h, false);
   }
   EXPECT_EQ(pool.stats().front_hits, 0u);
+  ASSERT_TRUE(pool.VerifyIntegrity().ok());
+}
+
+}  // namespace
+}  // namespace noftl::buffer
+
+namespace noftl::buffer {
+namespace {
+
+TEST(BufferFetchOwnerTest, ForeignToucherPaysItsPageAndOwnerPaysTheBatch) {
+  BufferPool pool(SmallPool(8), kPageSize);
+  StaggeredTablespace ts(1);
+  pool.RegisterTablespace(&ts);
+  for (uint64_t p = 1; p <= 4; p++) ts.Seed(p, static_cast<char>('a' + p));
+
+  // The owner submits four reads at t=1000; they finish at 1100..1400.
+  txn::TxnContext owner;
+  owner.now = 1000;
+  FetchTicket ticket = 0;
+  const std::vector<PageKey> keys = {{1, 1}, {1, 2}, {1, 3}, {1, 4}};
+  ASSERT_TRUE(pool.SubmitFetch(&owner, keys, &ticket).ok());
+  ASSERT_NE(ticket, 0u);
+  EXPECT_EQ(owner.now, 1000u);
+
+  // Another context touches page 2 while the fetch is in flight: it waits
+  // for that page's 200 us read from its own clock, not for the owner's
+  // batch completion.
+  txn::TxnContext other;
+  other.now = 50;
+  auto h = pool.FixPage(&other, {1, 2}, /*create=*/false);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h->data[0], 'c');
+  pool.Unfix(*h, /*dirty=*/false);
+  EXPECT_EQ(other.now, 250u);
+  EXPECT_EQ(other.read_wait_us, 200u);
+  EXPECT_EQ(other.pages_read, 0u);  // the owner's reads
+
+  // The owner's reap still advances to the batch completion and counts the
+  // reads, although the fetch was already delivered.
+  ASSERT_TRUE(pool.WaitFetch(&owner, ticket).ok());
+  EXPECT_EQ(owner.now, 1400u);
+  EXPECT_EQ(owner.read_wait_us, 400u);
+  EXPECT_EQ(owner.pages_read, 4u);
+  // Reaped once: a second WaitFetch is a no-op.
+  ASSERT_TRUE(pool.WaitFetch(&owner, ticket).ok());
+  EXPECT_EQ(owner.now, 1400u);
+
+  // The owner touching its own in-flight page reaps to the batch end.
+  for (const PageKey& k : keys) pool.Discard(k);
+  owner.now = 2000;
+  ASSERT_TRUE(pool.SubmitFetch(&owner, keys, &ticket).ok());
+  auto own = pool.FixPage(&owner, {1, 1}, /*create=*/false);
+  ASSERT_TRUE(own.ok());
+  pool.Unfix(*own, /*dirty=*/false);
+  EXPECT_EQ(owner.now, 2400u);
   ASSERT_TRUE(pool.VerifyIntegrity().ok());
 }
 

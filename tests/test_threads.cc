@@ -506,6 +506,37 @@ TEST(ThreadsTpccTest, ThreadedRunCommitsTheDeterministicWork) {
   }
 }
 
+TEST(ThreadsTpccTest, BoundedLagRunsCommitTheDeterministicWork) {
+  auto options = [](uint32_t workers) {
+    tpcc::DriverOptions o = ThreadedDriverOptions(workers);
+    o.terminals = 8;
+    o.warmup_transactions = 96;  // whole per-terminal warmup quotas
+    return o;
+  };
+  auto deterministic = tpcc::TpccDb::CreateAndLoad(SmallTpcc());
+  ASSERT_TRUE(deterministic.ok()) << deterministic.status().ToString();
+  tpcc::TpccDriver d0(deterministic->get(), options(0));
+  auto r0 = d0.Run();
+  ASSERT_TRUE(r0.ok()) << r0.status().ToString();
+  const TpccDigest base = DigestTpcc(deterministic->get());
+  EXPECT_EQ(r0->max_start_lead_us, 0u);
+
+  for (uint32_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(workers);
+    auto threaded = tpcc::TpccDb::CreateAndLoad(SmallTpcc());
+    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+    tpcc::TpccDriver driver(threaded->get(), options(workers));
+    auto r = driver.Run();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->transactions, r0->transactions);
+    EXPECT_EQ(r->rollbacks, r0->rollbacks);
+    EXPECT_EQ(DigestTpcc(threaded->get()), base);
+    // No transaction started more than the window ahead of the slowest
+    // active worker.
+    EXPECT_LE(r->max_start_lead_us, tpcc::kThreadedLagWindowUs);
+  }
+}
+
 TEST(ThreadsTpccTest, ThreadedModeRequiresPerTerminalStreams) {
   auto db = tpcc::TpccDb::CreateAndLoad(SmallTpcc());
   ASSERT_TRUE(db.ok());

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 #include <mutex>
+#include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "common/bytes.h"
@@ -32,6 +34,7 @@ struct BTree::Node {
   void SetNextLeaf(uint64_t page_plus1) { EncodeFixed64(data + 8, page_plus1); }
   uint64_t LeftChild() const { return DecodeFixed64(data + 16); }
   void SetLeftChild(uint64_t page) { EncodeFixed64(data + 16, page); }
+  bool HasMagic() const { return DecodeFixed16(data) == kMagic; }
 
   static void Format(char* data, uint32_t page_size, bool leaf) {
     memset(data, 0, page_size);
@@ -81,7 +84,24 @@ struct BTree::Node {
       idx = lb;  // first separator greater than key; take the previous child
     }
     if (child_index != nullptr) *child_index = idx;
-    return idx == 0 ? LeftChild() : ValueAt(idx - 1);
+    return ChildAt(idx);
+  }
+
+  /// Internal node: child i of Count() + 1 (child 0 is LeftChild()).
+  uint64_t ChildAt(uint32_t i) const {
+    return i == 0 ? LeftChild() : ValueAt(i - 1);
+  }
+
+  /// Internal node: drop child i and the separator that bounds it. Removing
+  /// child 0 promotes child 1 to LeftChild(); its separator goes, and the
+  /// node's own lower bound (held by its parent) still bounds that subtree.
+  void RemoveChildAt(uint32_t i) {
+    if (i == 0) {
+      SetLeftChild(ValueAt(0));
+      RemoveAt(0);
+    } else {
+      RemoveAt(i - 1);
+    }
   }
 
   void InsertAt(uint32_t i, Key128 key, uint64_t value) {
@@ -325,8 +345,9 @@ Result<uint64_t> BTree::Lookup(txn::TxnContext* ctx, Key128 key) {
 
 Status BTree::Delete(txn::TxnContext* ctx, Key128 key) {
   WriterLock lock(latch_);
+  std::vector<PathEntry> path;
   uint64_t leaf_page = 0;
-  NOFTL_RETURN_IF_ERROR(DescendToLeaf(ctx, key, nullptr, &leaf_page));
+  NOFTL_RETURN_IF_ERROR(DescendToLeaf(ctx, key, &path, &leaf_page));
   auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), leaf_page},
                           /*create=*/false);
   if (!h.ok()) return h.status();
@@ -337,8 +358,107 @@ Status BTree::Delete(txn::TxnContext* ctx, Key128 key) {
     return Status::NotFound("key absent");
   }
   leaf.RemoveAt(pos);
+  const bool emptied = leaf.Count() == 0;
+  const uint64_t next = leaf.NextLeaf();
   pool_->Unfix(*h, /*dirty=*/true);
   entry_count_--;
+  // The root leaf of an empty tree is the only node that stays empty.
+  if (!emptied || path.empty()) return Status::OK();
+  return FreeEmptyLeaf(ctx, path, leaf_page, next);
+}
+
+Result<uint64_t> BTree::PredecessorLeaf(txn::TxnContext* ctx,
+                                        const std::vector<PathEntry>& path) {
+  // The deepest ancestor the path left through a child other than child 0
+  // has the predecessor in the subtree one child to the left: its
+  // rightmost leaf.
+  size_t level = path.size();
+  while (level > 0 && path[level - 1].child_index == 0) level--;
+  if (level == 0) return kNoPage;  // the tree's leftmost leaf
+  level--;
+  const uint32_t ts = tablespace_->tablespace_id();
+  auto h = pool_->FixPage(ctx, {ts, path[level].page_no}, /*create=*/false);
+  if (!h.ok()) return h.status();
+  const Node branch{h->data, tablespace_->page_size()};
+  uint64_t page_no = branch.ChildAt(path[level].child_index - 1);
+  pool_->Unfix(*h, /*dirty=*/false);
+  for (size_t depth = level + 1; depth < path.size(); depth++) {
+    auto ch = pool_->FixPage(ctx, {ts, page_no}, /*create=*/false);
+    if (!ch.ok()) return ch.status();
+    const Node node{ch->data, tablespace_->page_size()};
+    assert(!node.IsLeaf());
+    page_no = node.ChildAt(node.Count());  // last child
+    pool_->Unfix(*ch, /*dirty=*/false);
+  }
+  return page_no;
+}
+
+Status BTree::FreeEmptyLeaf(txn::TxnContext* ctx,
+                            const std::vector<PathEntry>& path,
+                            uint64_t leaf_page, uint64_t next_plus1) {
+  const uint32_t ts = tablespace_->tablespace_id();
+  // The leaf leaves its parent before it leaves the chain: if a page fix
+  // fails in between, the tree keeps an unreachable empty leaf that scans
+  // step over, never a reachable leaf that scans cannot see.
+  auto pred = PredecessorLeaf(ctx, path);
+  if (!pred.ok()) return pred.status();
+
+  // 1. Remove its child slot; a parent left without children goes too, up
+  // the path. The root always keeps two or more children (step 2), so the
+  // climb stops at the root at the latest.
+  std::vector<uint64_t> freed = {leaf_page};
+  uint64_t only_child = kNoPage;  // set when the root is left with one child
+  for (size_t level = path.size(); level-- > 0;) {
+    auto h = pool_->FixPage(ctx, {ts, path[level].page_no}, /*create=*/false);
+    if (!h.ok()) return h.status();
+    Node node{h->data, tablespace_->page_size()};
+    if (node.Count() == 0) {  // the removed subtree was its only child
+      assert(level > 0);
+      pool_->Unfix(*h, /*dirty=*/false);
+      freed.push_back(path[level].page_no);
+      continue;
+    }
+    node.RemoveChildAt(path[level].child_index);
+    if (level == 0 && node.Count() == 0) only_child = node.LeftChild();
+    pool_->Unfix(*h, /*dirty=*/true);
+    break;
+  }
+
+  // 2. A root left with one child hands the root to that child, for as
+  // long as the new root has one child too.
+  while (only_child != kNoPage) {
+    freed.push_back(root_page_);
+    root_page_ = only_child;
+    height_--;
+    only_child = kNoPage;
+    if (height_ == 1) break;
+    auto h = pool_->FixPage(ctx, {ts, root_page_}, /*create=*/false);
+    if (!h.ok()) return h.status();
+    const Node root{h->data, tablespace_->page_size()};
+    if (root.Count() == 0) only_child = root.LeftChild();
+    pool_->Unfix(*h, /*dirty=*/false);
+  }
+
+  // 3. Unlink the leaf from the chain.
+  if (*pred != kNoPage) {
+    auto h = pool_->FixPage(ctx, {ts, *pred}, /*create=*/false);
+    if (!h.ok()) return h.status();
+    Node prev{h->data, tablespace_->page_size()};
+    assert(prev.IsLeaf() && prev.NextLeaf() == leaf_page + 1);
+    prev.SetNextLeaf(next_plus1);
+    pool_->Unfix(*h, /*dirty=*/true);
+  }
+
+  // 4. Release the unlinked pages. The frames go without a write-back and
+  // the trim leaves GC nothing to copy.
+  for (uint64_t page_no : freed) {
+    pool_->Discard({ts, page_no});
+    NOFTL_RETURN_IF_ERROR(tablespace_->FreePage(page_no));
+    auto it = std::find(pages_.begin(), pages_.end(), page_no);
+    assert(it != pages_.end());
+    *it = pages_.back();
+    pages_.pop_back();
+  }
   return Status::OK();
 }
 
@@ -396,8 +516,7 @@ Status BTree::PrefetchLeaves(txn::TxnContext* ctx, Key128 from, Key128 to,
   for (uint32_t idx = parent.child_index;
        idx <= node.Count() && keys.size() < kMaxPrefetch; idx++) {
     if (idx > parent.child_index && to < node.KeyAt(idx - 1)) break;
-    const uint64_t child = idx == 0 ? node.LeftChild() : node.ValueAt(idx - 1);
-    keys.push_back({tablespace_->tablespace_id(), child});
+    keys.push_back({tablespace_->tablespace_id(), node.ChildAt(idx)});
   }
   pool_->Unfix(*h, /*dirty=*/false);
   return pool_->SubmitFetch(ctx, keys, ticket);
@@ -463,43 +582,106 @@ Status BTree::ScanRange(txn::TxnContext* ctx, Key128 from, Key128 to,
 
 Status BTree::Validate(txn::TxnContext* ctx) {
   ReaderLock lock(latch_);
-  // Walk every leaf via the chain; check sortedness and count. Then check
-  // that tree descent finds every leaf key.
-  uint64_t leaf_page = 0;
-  NOFTL_RETURN_IF_ERROR(DescendToLeaf(ctx, Key128::Min(), nullptr, &leaf_page));
-
-  uint64_t seen = 0;
-  Key128 prev = Key128::Min();
-  bool have_prev = false;
-  uint64_t page_no = leaf_page;
-  while (true) {
-    auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), page_no},
-                            /*create=*/false);
-    if (!h.ok()) return h.status();
-    Node leaf{h->data, tablespace_->page_size()};
-    if (!leaf.IsLeaf()) {
-      pool_->Unfix(*h, false);
-      return Status::Corruption("leaf chain reached internal node");
-    }
-    for (uint32_t i = 0; i < leaf.Count(); i++) {
-      const Key128 k = leaf.KeyAt(i);
-      if (have_prev && !(prev < k)) {
-        pool_->Unfix(*h, false);
-        return Status::Corruption("keys out of order in leaf chain");
-      }
-      prev = k;
-      have_prev = true;
-      seen++;
-    }
-    const uint64_t next = leaf.NextLeaf();
-    pool_->Unfix(*h, /*dirty=*/false);
-    if (next == 0) break;
-    page_no = next - 1;
+  const uint32_t ts = tablespace_->tablespace_id();
+  const std::unordered_set<uint64_t> owned(pages_.begin(), pages_.end());
+  if (owned.size() != pages_.size()) {
+    return Status::Corruption("page list names a page twice");
   }
-  if (seen != entry_count_) {
-    return Status::Corruption("entry count drift: chain has " +
-                              std::to_string(seen) + ", expected " +
+
+  // Depth-first over the whole tree, children in key order. Each node must
+  // be one of this tree's pages, reached once; leaves sit at depth
+  // height - 1; every key lies in [lo, hi) set by the separators above it.
+  struct Visit {
+    uint64_t page_no;
+    uint32_t depth;
+    Key128 lo;
+    std::optional<Key128> hi;  ///< none = unbounded
+  };
+  std::vector<Visit> stack = {{root_page_, 0, Key128::Min(), std::nullopt}};
+  std::unordered_set<uint64_t> reached;
+  std::vector<uint64_t> leaves;  // in key order
+  uint64_t entries = 0;
+  auto corrupt = [](uint64_t page_no, const std::string& what) {
+    return Status::Corruption("node " + std::to_string(page_no) + ": " + what);
+  };
+  while (!stack.empty()) {
+    const Visit v = stack.back();
+    stack.pop_back();
+    if (owned.count(v.page_no) == 0) {
+      return corrupt(v.page_no, "child pointer to a page the tree lacks");
+    }
+    if (!reached.insert(v.page_no).second) {
+      return corrupt(v.page_no, "reached twice");
+    }
+    auto h = pool_->FixPage(ctx, {ts, v.page_no}, /*create=*/false);
+    if (!h.ok()) return h.status();
+    const Node node{h->data, tablespace_->page_size()};
+    Status s;
+    const bool leaf_depth = v.depth + 1 == height_;
+    const uint32_t n = node.Count();
+    if (!node.HasMagic()) {
+      s = corrupt(v.page_no, "bad magic");
+    } else if (node.IsLeaf() != leaf_depth) {
+      s = corrupt(v.page_no, node.IsLeaf() ? "leaf above the leaf level"
+                                           : "internal node at the leaf level");
+    } else if (n > MaxEntries()) {
+      s = corrupt(v.page_no, "count exceeds capacity");
+    } else if (node.IsLeaf() && n == 0 && height_ > 1) {
+      s = corrupt(v.page_no, "empty leaf left in the tree");
+    } else if (!node.IsLeaf() && n == 0 && v.depth == 0) {
+      s = corrupt(v.page_no, "root with one child was not collapsed");
+    }
+    for (uint32_t i = 0; s.ok() && i < n; i++) {
+      const Key128 k = node.KeyAt(i);
+      if (k < v.lo || (v.hi && !(k < *v.hi)) ||
+          (i > 0 && !(node.KeyAt(i - 1) < k))) {
+        s = corrupt(v.page_no, "key out of order or outside its separators");
+      }
+    }
+    if (s.ok() && node.IsLeaf()) {
+      leaves.push_back(v.page_no);
+      entries += n;
+    } else if (s.ok()) {
+      // Push right to left so the leftmost child is visited first.
+      for (uint32_t i = n + 1; i-- > 0;) {
+        const Key128 lo = i == 0 ? v.lo : node.KeyAt(i - 1);
+        std::optional<Key128> hi = i == n ? v.hi : node.KeyAt(i);
+        stack.push_back({node.ChildAt(i), v.depth + 1, lo, hi});
+      }
+    }
+    pool_->Unfix(*h, /*dirty=*/false);
+    NOFTL_RETURN_IF_ERROR(s);
+  }
+  if (reached.size() != pages_.size()) {
+    return Status::Corruption(
+        "page count drift: " + std::to_string(pages_.size()) +
+        " pages held, " + std::to_string(reached.size()) + " reachable");
+  }
+  if (entries != entry_count_) {
+    return Status::Corruption("entry count drift: tree has " +
+                              std::to_string(entries) + ", expected " +
                               std::to_string(entry_count_));
+  }
+
+  // The leaf chain must visit exactly the leaves descent reached, in order.
+  uint64_t page_no = leaves.front();
+  for (size_t i = 0;; i++) {
+    if (i == leaves.size() || page_no != leaves[i]) {
+      return Status::Corruption("leaf chain diverges from the tree at step " +
+                                std::to_string(i));
+    }
+    auto h = pool_->FixPage(ctx, {ts, page_no}, /*create=*/false);
+    if (!h.ok()) return h.status();
+    const uint64_t next = Node{h->data, tablespace_->page_size()}.NextLeaf();
+    pool_->Unfix(*h, /*dirty=*/false);
+    if (next == 0) {
+      if (i + 1 != leaves.size()) {
+        return Status::Corruption("leaf chain ends early at step " +
+                                  std::to_string(i));
+      }
+      break;
+    }
+    page_no = next - 1;
   }
   return Status::OK();
 }

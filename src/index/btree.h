@@ -8,10 +8,23 @@
 // every stored key is unique and equal-`hi` ranges enumerate duplicates in
 // insertion-independent order.
 //
-// Deletes are lazy (no rebalancing): entries are removed in place and pages
-// may underflow. This matches the workload the paper evaluates — TPC-C only
-// deletes NEW_ORDER rows — and keeps invariants testable: lookups never see
-// deleted keys, and structure checks tolerate underfull nodes.
+// Deletes free at empty (Johnson & Shasha, "B-trees with inserts and
+// deletes: why free-at-empty is better than merge-at-half"): a node is never
+// merged or rebalanced, but a leaf whose last entry goes is unlinked from the
+// leaf chain and from its parent, a parent left without children goes the
+// same way, and a root left with one child hands the root to it. The freed
+// pages return to the tablespace (their flash copies are trimmed, so GC
+// never copies them). Only the root leaf of an empty tree is ever empty, so
+// a scan never walks dead leaves: TPC-C's Delivery deletes the oldest
+// NEW_ORDER entry of each district, and under lazy deletes every district's
+// range would start with a growing run of empty leaves. Underfull nodes are
+// fine; lookups never see deleted keys.
+//
+// Snapshot readers (TxnContext::snapshot_seq) read node pages as of their
+// sequence, so a leaf freed and reused after the snapshot still reads as it
+// was. They descend from the current root and height, though, so a root
+// split or collapse between a snapshot's open and its reads is not
+// supported.
 //
 // Thread safety: a tree-level reader/writer latch. Lookups and scans ride
 // shared holds (node pages are only read); Insert/Delete/DropStorage take
@@ -95,11 +108,15 @@ class BTree {
 
   buffer::BufferPool* pool() const { return pool_; }
 
-  /// Structural validation: key order within and across nodes, separator
-  /// correctness, leaf chain completeness, entry count. O(n); test aid.
+  /// Structural validation, O(n); test aid. Checks key order within nodes
+  /// and against the separators above them, uniform leaf depth, that no
+  /// leaf but an empty tree's root is empty and the root has two or more
+  /// children, that the leaf chain visits exactly the leaves descent reaches
+  /// and in the same order, and that entry_count() and page_count() match
+  /// what is reachable.
   Status Validate(txn::TxnContext* ctx);
 
-  /// Pages allocated to this index.
+  /// Pages allocated to this index (every one reachable from the root).
   uint64_t page_count() const {
     ReaderLock lock(latch_);
     return pages_.size();
@@ -146,6 +163,22 @@ class BTree {
                         const std::function<bool(Key128, uint64_t)>& fn)
       REQUIRES_SHARED(latch_);
 
+  static constexpr uint64_t kNoPage = ~0ull;
+
+  /// The leaf chained just before the leaf `path` leads to, or kNoPage for
+  /// the tree's leftmost leaf.
+  Result<uint64_t> PredecessorLeaf(txn::TxnContext* ctx,
+                                   const std::vector<PathEntry>& path)
+      REQUIRES(latch_);
+
+  /// Free-at-empty: unlink the emptied `leaf_page` (reached by `path`, its
+  /// chain successor `next_plus1`) from the chain and its parent, free
+  /// ancestors left childless, collapse one-child roots, and release every
+  /// removed page.
+  Status FreeEmptyLeaf(txn::TxnContext* ctx, const std::vector<PathEntry>& path,
+                       uint64_t leaf_page, uint64_t next_plus1)
+      REQUIRES(latch_);
+
   /// Split handling after a leaf/internal insert overflowed.
   Status InsertIntoParent(txn::TxnContext* ctx, std::vector<PathEntry>* path,
                           Key128 sep, uint64_t new_child) REQUIRES(latch_);
@@ -170,7 +203,7 @@ class BTree {
   Relaxed<uint64_t> entry_count_ = 0;   ///< readable without the latch
   Relaxed<uint32_t> height_ = 1;        ///< readable without the latch
   bool range_prefetch_ = true;
-  /// All node pages, for DropStorage.
+  /// All node pages, for DropStorage and page_count().
   std::vector<uint64_t> pages_ GUARDED_BY(latch_);
 };
 

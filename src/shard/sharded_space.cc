@@ -222,12 +222,15 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
         break;
     }
     IoRequest* parent = &r;
-    mirror->on_complete = [parent](const IoRequest& done_req) {
+    Merged* owner = merged.get();
+    mirror->on_complete = [parent, owner](const IoRequest& done_req) {
       parent->status = done_req.status;
       parent->complete = done_req.complete;
       parent->done = true;
       if (parent->on_complete) parent->on_complete(*parent);
+      owner->callbacks_returned.fetch_add(1, std::memory_order_release);
     };
+    merged->mirrors++;
     stats_.requests_per_shard[s]++;
     stats_.scatter_requests++;
   }
@@ -310,10 +313,11 @@ size_t ShardedSpace::PollCompletions(SimTime until) {
   // this space (submit, wait, even poll again).
   size_t retired = 0;
   for (auto* s : shards_) retired += s->PollCompletions(until);
-  // Release merged batches whose every request has been delivered. Extract
-  // them under the lock, destroy them outside it (the Merged dtor frees the
-  // sub-batches but fires no callbacks; keeping destruction out of the
-  // critical section is still cheaper for concurrent submitters).
+  // Release merged batches whose every callback has returned (another
+  // thread may still be inside one). Extract them under the lock, destroy
+  // them outside it (the Merged dtor frees the sub-batches but fires no
+  // callbacks; keeping destruction out of the critical section is still
+  // cheaper for concurrent submitters).
   std::vector<std::unique_ptr<Merged>> drained;
   {
     MutexLock lock(mu_);
@@ -331,10 +335,7 @@ size_t ShardedSpace::PollCompletions(SimTime until) {
 
 bool ShardedSpace::Delivered(const Merged& m) const {
   if (m.passthrough) return m.parent->AllDone();
-  for (const auto& sub : m.subs) {
-    if (!sub->batch.AllDone()) return false;
-  }
-  return true;
+  return m.callbacks_returned.load() == m.mirrors;
 }
 
 }  // namespace noftl::shard

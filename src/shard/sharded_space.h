@@ -165,6 +165,12 @@ class ShardedSpace : public storage::SpaceProvider {
     /// The caller's batch; alive until reaped (SpaceProvider contract).
     storage::IoBatch* parent = nullptr;
     std::vector<std::unique_ptr<SubBatch>> subs;
+    /// Mirrored requests across `subs`, and how many of their callbacks
+    /// have returned. A sub-request is marked `done` before its callback
+    /// runs (and the callback still reads it), so only this count says no
+    /// thread references the sub-batches and the Merged may be freed.
+    size_t mirrors = 0;
+    Relaxed<size_t> callbacks_returned = 0;
   };
 
   size_t PickShard(uint64_t key) const REQUIRES(alloc_mu_);

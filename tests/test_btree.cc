@@ -1,12 +1,16 @@
 // B+-tree tests: point ops, splits across multiple levels, ordered and
-// range scans, lazy deletes, structural validation, and parameterized
-// property tests against std::map for several insertion patterns.
+// range scans, free-at-empty deletes (queue churn, cold first-key scans,
+// draining to empty, snapshots over freed pages, frees racing a pending
+// leaf fetch), structural validation, and parameterized property tests
+// against std::map for several insertion patterns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "db/database.h"
 #include "index/btree.h"
@@ -176,6 +180,65 @@ TEST_F(BTreeTest, DescendingInsertOrderWorks) {
                                 return true;
                               }).ok());
   EXPECT_EQ(prev, 400u);
+}
+
+TEST_F(BTreeTest, ValidateRejectsBadSeparatorsChainsAndEmptyLeaves) {
+  for (uint64_t k = 0; k < 200; k++) {
+    ASSERT_TRUE(tree_->Insert(&stack_.ctx, {k, 0}, k).ok());
+  }
+  ASSERT_TRUE(tree_->Validate(&stack_.ctx).ok());
+  // Edit node bytes in place (flags at 2, count at 4, next leaf + 1 at 8,
+  // entries of {key hi, key lo, value} from 32).
+  const uint32_t ts = stack_.tablespace->tablespace_id();
+  auto edit = [&](uint64_t page, const std::function<void(char*)>& fn) {
+    auto h = stack_.pool->FixPage(&stack_.ctx, {ts, page}, /*create=*/false);
+    ASSERT_TRUE(h.ok());
+    fn(h->data);
+    stack_.pool->Unfix(*h, /*dirty=*/true);
+  };
+  uint64_t leaf = ~0ull;
+  uint64_t next = 0;
+  for (uint64_t p = 0; leaf == ~0ull && p < stack_.tablespace->page_count();
+       p++) {
+    edit(p, [&](char* d) {
+      if ((DecodeFixed16(d + 2) & 1) != 0 && DecodeFixed64(d + 8) != 0) {
+        leaf = p;
+        next = DecodeFixed64(d + 8);
+      }
+    });
+  }
+  ASSERT_NE(leaf, ~0ull);
+
+  // The successor's first key moved just below its separator: the chain
+  // stays in order and the count stays right, but descent would miss it.
+  uint64_t first_hi = 0;
+  edit(next - 1, [&](char* d) {
+    first_hi = DecodeFixed64(d + 32);
+    EncodeFixed64(d + 32, first_hi - 1);
+    EncodeFixed64(d + 40, 5);
+  });
+  EXPECT_TRUE(tree_->Validate(&stack_.ctx).IsCorruption());
+  edit(next - 1, [&](char* d) {
+    EncodeFixed64(d + 32, first_hi);
+    EncodeFixed64(d + 40, 0);
+  });
+  ASSERT_TRUE(tree_->Validate(&stack_.ctx).ok());
+
+  uint64_t skip = 0;
+  edit(next - 1, [&](char* d) { skip = DecodeFixed64(d + 8); });
+  edit(leaf, [&](char* d) { EncodeFixed64(d + 8, skip); });
+  EXPECT_TRUE(tree_->Validate(&stack_.ctx).IsCorruption());
+  edit(leaf, [&](char* d) { EncodeFixed64(d + 8, next); });
+  ASSERT_TRUE(tree_->Validate(&stack_.ctx).ok());
+
+  uint16_t count = 0;
+  edit(leaf, [&](char* d) {
+    count = DecodeFixed16(d + 4);
+    EncodeFixed16(d + 4, 0);
+  });
+  EXPECT_TRUE(tree_->Validate(&stack_.ctx).IsCorruption());
+  edit(leaf, [&](char* d) { EncodeFixed16(d + 4, count); });
+  EXPECT_TRUE(tree_->Validate(&stack_.ctx).ok());
 }
 
 // --- Batched leaf probes (SubmitLeafFetch) ----------------------------
@@ -370,6 +433,275 @@ TEST(BTreeLeafFetchTest, SnapshotContextFetchesVersionedFrames) {
     EXPECT_EQ(*tree->Lookup(&ctx, key), key.hi + 1000);  // latest, unaliased
   }
   EXPECT_EQ(snap_ctx.pages_read, reads);  // every snapshot probe hit
+  (*db)->ReleaseSnapshot(*snap);
+}
+
+// --- Free-at-empty deletes --------------------------------------------
+
+/// Delivery/NewOrder in miniature: delete the minimum, insert a new maximum.
+Status QueueStep(BTree* tree, txn::TxnContext* ctx, uint64_t* head,
+                 uint64_t* tail) {
+  NOFTL_RETURN_IF_ERROR(tree->Delete(ctx, {(*head)++, 0}));
+  NOFTL_RETURN_IF_ERROR(tree->Insert(ctx, {*tail, 0}, *tail));
+  (*tail)++;
+  return Status::OK();
+}
+
+TEST(BTreeFreeAtEmptyTest, QueuePatternKeepsPagesBoundedByLiveEntries) {
+  NativeStack s(BigStack());
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "Q", s.tablespace.get(), s.pool.get(), &s.ctx));
+  uint64_t head = 0;
+  uint64_t tail = 0;
+  for (; tail < 200; tail++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {tail, 0}, tail).ok());
+  }
+  const uint64_t filled_pages = tree->page_count();
+  ASSERT_GE(tree->height(), 2u);
+
+  // 25x the live entries pass through the tree; lazy deletes would leave a
+  // leaf behind for every ~10 of them.
+  for (int step = 1; step <= 5000; step++) {
+    ASSERT_TRUE(QueueStep(tree.get(), &s.ctx, &head, &tail).ok()) << step;
+    ASSERT_LE(tree->page_count(), 2 * filled_pages) << step;
+    if (step % 250 == 0) {
+      Status v = tree->Validate(&s.ctx);
+      ASSERT_TRUE(v.ok()) << step << ": " << v.ToString();
+    }
+  }
+  EXPECT_EQ(tree->entry_count(), 200u);
+  uint64_t expect = head;
+  ASSERT_TRUE(tree->ScanFrom(&s.ctx, Key128::Min(), [&](Key128 k, uint64_t v) {
+                EXPECT_EQ(k.hi, expect);
+                EXPECT_EQ(v, expect);
+                expect++;
+                return true;
+              }).ok());
+  EXPECT_EQ(expect, tail);
+  // Every freed page went back to the tablespace.
+  EXPECT_EQ(s.tablespace->LivePages(), tree->page_count());
+}
+
+TEST(BTreeFreeAtEmptyTest, ColdFirstKeyScanReadsAtMostTwoLeaves) {
+  NativeStack s(WideStack(/*frames=*/64));
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "Q", s.tablespace.get(), s.pool.get(), &s.ctx));
+  uint64_t head = 0;
+  uint64_t tail = 0;
+  for (; tail < 300; tail++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {tail, 0}, tail).ok());
+  }
+  for (int step = 0; step < 3000; step++) {
+    ASSERT_TRUE(QueueStep(tree.get(), &s.ctx, &head, &tail).ok()) << step;
+  }
+  const uint64_t inner = tree->height() - 1;  // nodes above the leaf level
+
+  // The chain walk from the first key's leaf.
+  MakeCold(&s);
+  tree->set_range_prefetch(false);
+  uint64_t first = ~0ull;
+  uint64_t reads = s.ctx.pages_read;
+  ASSERT_TRUE(tree->ScanRange(&s.ctx, Key128::Min(), Key128::Max(),
+                              [&](Key128 k, uint64_t) {
+                                first = k.hi;
+                                return false;
+                              }).ok());
+  EXPECT_EQ(first, head);
+  EXPECT_LE(s.ctx.pages_read - reads, inner + 2);
+
+  // Delivery's form: prefetch on, the range ends at the first live key.
+  MakeCold(&s);
+  tree->set_range_prefetch(true);
+  first = ~0ull;
+  reads = s.ctx.pages_read;
+  ASSERT_TRUE(tree->ScanRange(&s.ctx, Key128::Min(), {head, 0},
+                              [&](Key128 k, uint64_t) {
+                                first = k.hi;
+                                return false;
+                              }).ok());
+  EXPECT_EQ(first, head);
+  EXPECT_LE(s.ctx.pages_read - reads, inner + 2);
+}
+
+TEST(BTreeFreeAtEmptyTest, HeavyDeletesDrainToEmptyAndRefill) {
+  NativeStack s(BigStack());
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "H", s.tablespace.get(), s.pool.get(), &s.ctx));
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> shadow;
+  Rng rng(77);
+
+  auto check = [&](const char* phase) {
+    Status v = tree->Validate(&s.ctx);
+    ASSERT_TRUE(v.ok()) << phase << ": " << v.ToString();
+    ASSERT_EQ(tree->entry_count(), shadow.size()) << phase;
+    auto it = shadow.begin();
+    ASSERT_TRUE(tree->ScanFrom(&s.ctx, Key128::Min(),
+                               [&](Key128 k, uint64_t v) {
+                                 EXPECT_TRUE(it != shadow.end()) << phase;
+                                 if (it == shadow.end()) return false;
+                                 EXPECT_EQ(k.hi, it->first.first) << phase;
+                                 EXPECT_EQ(k.lo, it->first.second) << phase;
+                                 EXPECT_EQ(v, it->second) << phase;
+                                 ++it;
+                                 return true;
+                               }).ok());
+    EXPECT_TRUE(it == shadow.end()) << phase;
+  };
+  auto insert_random = [&]() {
+    const Key128 key{rng.Below(1u << 14), rng.Below(3)};
+    const uint64_t value = rng.Next();
+    Status st = tree->Insert(&s.ctx, key, value);
+    if (shadow.count({key.hi, key.lo}) != 0) {
+      ASSERT_TRUE(st.IsAlreadyExists());
+    } else {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      shadow[{key.hi, key.lo}] = value;
+    }
+  };
+  auto delete_random = [&]() {
+    if (shadow.empty()) {
+      ASSERT_TRUE(tree->Delete(&s.ctx, {1, 1}).IsNotFound());
+      return;
+    }
+    auto it = shadow.begin();
+    std::advance(it, rng.Below(shadow.size()));
+    ASSERT_TRUE(tree->Delete(&s.ctx, {it->first.first, it->first.second}).ok());
+    shadow.erase(it);
+  };
+
+  for (int round = 0; round < 2; round++) {
+    SCOPED_TRACE(round);
+    for (int i = 0; i < 3000; i++) ASSERT_NO_FATAL_FAILURE(insert_random());
+    ASSERT_GE(tree->height(), 3u);
+    check("filled");
+    // Churn at a 60% delete ratio: the tree shrinks while it changes.
+    for (int i = 0; i < 4000; i++) {
+      if (rng.Below(10) < 6) {
+        ASSERT_NO_FATAL_FAILURE(delete_random());
+      } else {
+        ASSERT_NO_FATAL_FAILURE(insert_random());
+      }
+      if (i % 500 == 0) {
+        ASSERT_NO_FATAL_FAILURE(check("churn"));
+      }
+    }
+    check("churned");
+    // Drain: every leaf frees, the root collapses back to one empty leaf.
+    while (!shadow.empty()) ASSERT_NO_FATAL_FAILURE(delete_random());
+    check("drained");
+    EXPECT_EQ(tree->height(), 1u);
+    EXPECT_EQ(tree->page_count(), 1u);
+    EXPECT_EQ(s.tablespace->LivePages(), 1u);
+    EXPECT_TRUE(tree->Lookup(&s.ctx, {5, 0}).status().IsNotFound());
+  }
+  for (int i = 0; i < 500; i++) ASSERT_NO_FATAL_FAILURE(insert_random());
+  check("refilled");
+  for (const auto& [k, v] : shadow) {
+    auto got = tree->Lookup(&s.ctx, {k.first, k.second});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, v);
+  }
+}
+
+TEST(BTreeFreeAtEmptyTest, FreeingALeafClaimedByAPendingFetch) {
+  NativeStack s(WideStack(/*frames=*/64));
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "Q", s.tablespace.get(), s.pool.get(), &s.ctx));
+  for (uint64_t k = 0; k < 150; k++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k).ok());
+  }
+  MakeCold(&s);
+
+  // Another context submits a fetch of the first two leaves and has not
+  // reaped it when the deleter empties (and frees) the first one.
+  txn::TxnContext prober;
+  prober.now = s.ctx.now;
+  buffer::FetchTicket ticket = 0;
+  ASSERT_TRUE(tree->SubmitLeafFetch(&prober, {{0, 0}, {15, 0}}, &ticket).ok());
+  ASSERT_NE(ticket, 0u);
+  const uint64_t pages = tree->page_count();
+  for (uint64_t k = 0; k < 10; k++) {
+    ASSERT_TRUE(tree->Delete(&s.ctx, {k, 0}).ok()) << k;
+  }
+  EXPECT_EQ(tree->page_count(), pages - 1);
+  ASSERT_TRUE(s.pool->WaitFetch(&prober, ticket).ok());
+  EXPECT_GT(prober.pages_read, 0u);  // the owner is still charged its reads
+  EXPECT_TRUE(tree->Lookup(&prober, {5, 0}).status().IsNotFound());
+  EXPECT_EQ(*tree->Lookup(&prober, {15, 0}), 15u);
+  ASSERT_TRUE(s.pool->VerifyIntegrity().ok());
+  ASSERT_TRUE(tree->Validate(&s.ctx).ok());
+
+  // The freed page is reused by the next split.
+  const uint64_t high_water = s.tablespace->page_count();
+  for (uint64_t k = 150; k < 160; k++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k).ok());
+  }
+  EXPECT_EQ(s.tablespace->page_count(), high_water);
+  ASSERT_TRUE(tree->Validate(&s.ctx).ok());
+}
+
+TEST(BTreeFreeAtEmptyTest, SnapshotReadsLeavesFreedAndReusedAfterIt) {
+  db::DatabaseOptions o;
+  o.geometry.channels = 4;
+  o.geometry.dies_per_channel = 4;
+  o.geometry.planes_per_die = 1;
+  o.geometry.blocks_per_die = 32;
+  o.geometry.pages_per_block = 16;
+  o.geometry.page_size = 512;
+  o.buffer.frame_count = 128;
+  o.default_extent_pages = 8;
+  auto db = db::Database::Open(o);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)
+                  ->ExecuteScript("CREATE REGION r (MAX_CHIPS=8);"
+                                  "CREATE TABLESPACE ts (REGION=r);")
+                  .ok());
+  auto created = (*db)->CreateIndex("IDX", "ts");
+  ASSERT_TRUE(created.ok());
+  BTree* tree = *created;
+  storage::Tablespace* ts = (*db)->GetTablespace("ts");
+  txn::TxnContext ctx;
+  // Ascending inserts: ten keys per leaf, three inner nodes under the root.
+  for (uint64_t k = 0; k < 300; k++) {
+    ASSERT_TRUE(tree->Insert(&ctx, {k, 0}, k).ok());
+  }
+  ASSERT_EQ(tree->height(), 3u);
+  const uint32_t height = tree->height();
+  auto snap = (*db)->OpenSnapshot(&ctx);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+
+  // Free the first hundred keys' leaves (and their inner node), then let
+  // new keys split into the freed pages; push everything to flash.
+  const uint64_t pages = tree->page_count();
+  for (uint64_t k = 0; k < 100; k++) {
+    ASSERT_TRUE(tree->Delete(&ctx, {k, 0}).ok());
+  }
+  ASSERT_LT(tree->page_count(), pages - 9);
+  const uint64_t high_water = ts->page_count();
+  for (uint64_t k = 1000; k < 1060; k++) {
+    ASSERT_TRUE(tree->Insert(&ctx, {k, 0}, k).ok());
+  }
+  ASSERT_EQ(ts->page_count(), high_water);  // every new node reused a page
+  ASSERT_EQ(tree->height(), height);         // same root: snapshot descends it
+  ASSERT_TRUE((*db)->buffer()->FlushAll(&ctx).ok());
+  ASSERT_TRUE(tree->Validate(&ctx).ok());
+
+  txn::TxnContext snap_ctx;
+  snap_ctx.now = ctx.now;
+  snap_ctx.snapshot_seq = *snap;
+  uint64_t expect = 0;
+  ASSERT_TRUE(tree->ScanFrom(&snap_ctx, Key128::Min(),
+                             [&](Key128 k, uint64_t v) {
+                               EXPECT_EQ(k.hi, expect);
+                               EXPECT_EQ(v, expect);
+                               expect++;
+                               return true;
+                             }).ok());
+  EXPECT_EQ(expect, 300u);  // exactly the entries as of the snapshot
+  EXPECT_EQ(*tree->Lookup(&snap_ctx, {5, 0}), 5u);
+  EXPECT_TRUE(tree->Lookup(&snap_ctx, {1005, 0}).status().IsNotFound());
+  EXPECT_TRUE(tree->Lookup(&ctx, {5, 0}).status().IsNotFound());
+  EXPECT_EQ(*tree->Lookup(&ctx, {1005, 0}), 1005u);
   (*db)->ReleaseSnapshot(*snap);
 }
 

@@ -5,7 +5,8 @@
 // write-back), and the threaded TPC-C driver (digest-equal to the
 // deterministic single-thread run). These are the suites the TSan CI job
 // leans on; keep every cross-thread access either synchronized by the stack
-// under test or confined to thread-owned data.
+// under test or confined to thread-owned data. A B-tree suite runs
+// free-at-empty deletes against concurrent scans and in-flight leaf fetches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 
 #include "common/rng.h"
 #include "flash/device.h"
+#include "index/btree.h"
 #include "noftl/region_manager.h"
 #include "shard/sharded_space.h"
 #include "storage/space_provider.h"
@@ -384,6 +386,112 @@ TEST(ThreadsBufferTest, ConcurrentFixUnfixFetchWithEviction) {
   const auto& stats = stack.pool->stats();
   EXPECT_GT(static_cast<uint64_t>(stats.evictions), 0u);
   EXPECT_GT(static_cast<uint64_t>(stats.hits), 0u);
+  EXPECT_TRUE(stack.rg->mapper().VerifyIntegrity().ok());
+}
+
+// ---------------------------------------------------------------------------
+// One B-tree under concurrent free-at-empty deletes, scans and leaf fetches.
+// ---------------------------------------------------------------------------
+
+TEST(ThreadsBTreeTest, QueueDeletesFreeLeavesUnderConcurrentProbes) {
+  // Each deleter owns one key group and runs it as a queue (Delivery takes
+  // the oldest, NewOrder appends), so leaves empty and are freed all the
+  // time. Probers submit leaf fetches over every group and reap them late:
+  // deleters free leaves those in-flight fetches have claimed.
+  constexpr uint64_t kQueues = 3;
+  constexpr uint64_t kLive = 120;
+  constexpr int kSteps = 200;
+  constexpr int kProbers = 2;
+  test::StackOptions so;
+  so.blocks_per_die = 128;
+  so.frames = 64;
+  test::NativeStack stack(so);
+  std::unique_ptr<index::BTree> tree(*index::BTree::Create(
+      7, "Q", stack.tablespace.get(), stack.pool.get(), &stack.ctx));
+  for (uint64_t q = 0; q < kQueues; q++) {
+    for (uint64_t i = 0; i < kLive; i++) {
+      ASSERT_TRUE(tree->Insert(&stack.ctx, {q, i}, i).ok());
+    }
+  }
+  const uint64_t filled_pages = tree->page_count();
+
+  std::atomic<int> failures{0};
+  std::atomic<int> deleters_left{static_cast<int>(kQueues)};
+  std::vector<std::thread> threads;
+  for (uint64_t q = 0; q < kQueues; q++) {
+    threads.emplace_back([&, q] {
+      txn::TxnContext ctx;
+      ctx.now = stack.ctx.now;
+      uint64_t head = 0;
+      uint64_t tail = kLive;
+      for (int step = 0; step < kSteps && failures == 0; step++) {
+        uint64_t oldest = ~0ull;
+        Status s = tree->ScanRange(&ctx, {q, 0}, {q, ~0ull},
+                                   [&](index::Key128 k, uint64_t) {
+                                     oldest = k.lo;
+                                     return false;
+                                   });
+        if (!s.ok() || oldest != head ||
+            !tree->Delete(&ctx, {q, head}).ok() ||
+            !tree->Insert(&ctx, {q, tail}, tail).ok()) {
+          failures++;
+          break;
+        }
+        head++;
+        tail++;
+      }
+      deleters_left--;
+    });
+  }
+  for (int p = 0; p < kProbers; p++) {
+    threads.emplace_back([&, p] {
+      txn::TxnContext ctx;
+      ctx.now = stack.ctx.now;
+      Rng rng(31 + p);
+      while (deleters_left > 0 && failures == 0) {
+        std::vector<index::Key128> keys;
+        for (int i = 0; i < 6; i++) {
+          keys.push_back({rng.Below(kQueues), rng.Below(kSteps + kLive)});
+        }
+        buffer::FetchTicket ticket = 0;
+        if (!tree->SubmitLeafFetch(&ctx, keys, &ticket).ok()) {
+          failures++;
+          break;
+        }
+        // Reap late: yield so deleters run while the claims are in flight.
+        std::this_thread::yield();
+        auto got = tree->Lookup(&ctx, keys.front());
+        if (got.ok() ? *got != keys.front().lo : !got.status().IsNotFound()) {
+          failures++;
+        }
+        if (!stack.pool->WaitFetch(&ctx, ticket).ok()) failures++;
+        // A scan of one group sees it in key order.
+        const uint64_t q = rng.Below(kQueues);
+        uint64_t prev = 0;
+        bool first = true;
+        Status s = tree->ScanRange(&ctx, {q, 0}, {q, ~0ull},
+                                   [&](index::Key128 k, uint64_t) {
+                                     if (k.hi != q ||
+                                         (!first && k.lo <= prev)) {
+                                       failures++;
+                                     }
+                                     prev = k.lo;
+                                     first = false;
+                                     return true;
+                                   });
+        if (!s.ok()) failures++;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(tree->entry_count(), kQueues * kLive);
+  EXPECT_LE(tree->page_count(), 2 * filled_pages);
+  Status v = tree->Validate(&stack.ctx);
+  EXPECT_TRUE(v.ok()) << v.ToString();
+  EXPECT_TRUE(stack.pool->VerifyIntegrity().ok());
+  EXPECT_EQ(stack.tablespace->LivePages(), tree->page_count());
   EXPECT_TRUE(stack.rg->mapper().VerifyIntegrity().ok());
 }
 

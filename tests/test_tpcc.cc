@@ -295,6 +295,42 @@ TEST_F(TpccTxnTest, DeliveryDrainsEventually) {
   ASSERT_TRUE(txns_->Delivery(&ctx_, 1).ok());
 }
 
+TEST_F(TpccTxnTest, NewOrderIndexPagesDoNotGrowWithDeliveredOrders) {
+  // Steady state: two NewOrders per Delivery keep the queue's length while
+  // Delivery deletes the oldest entry of each district. Freed leaves go back
+  // to the tablespace, so the index holds what is queued, not what passed.
+  auto new_orders = [&](int n) {
+    bool committed = false;
+    for (int i = 0; i < n; i++) {
+      ASSERT_TRUE(txns_->NewOrder(&ctx_, 1, &committed).ok());
+    }
+  };
+  auto steady_rounds = [&](int rounds) {
+    for (int r = 0; r < rounds; r++) {
+      ASSERT_NO_FATAL_FAILURE(new_orders(2));
+      ASSERT_TRUE(txns_->Delivery(&ctx_, 1).ok());
+    }
+  };
+  // A queue several leaves long first, so Delivery's deletes empty leaves.
+  ASSERT_NO_FATAL_FAILURE(new_orders(200));
+  ASSERT_GE(db_->no_idx->height(), 2u);
+  ASSERT_NO_FATAL_FAILURE(steady_rounds(50));
+  const uint64_t pages = db_->no_idx->page_count();
+  const uint64_t orders = db_->order->record_count();
+  const uint64_t pending = db_->new_order->record_count();
+  ASSERT_NO_FATAL_FAILURE(steady_rounds(300));
+  // Some six hundred more orders went through the queue...
+  const uint64_t placed = db_->order->record_count() - orders;
+  const uint64_t delivered =
+      placed + pending - db_->new_order->record_count();
+  EXPECT_GE(delivered, 540u);
+  // ...and the index did not keep a page for them.
+  EXPECT_LE(db_->no_idx->page_count(), pages + 1);
+  EXPECT_EQ(db_->no_idx->entry_count(), db_->new_order->record_count());
+  Status v = db_->no_idx->Validate(&ctx_);
+  EXPECT_TRUE(v.ok()) << v.ToString();
+}
+
 TEST_F(TpccTxnTest, StockLevelRuns) {
   for (int i = 0; i < 5; i++) {
     ASSERT_TRUE(txns_->StockLevel(&ctx_, 1, 1).ok());

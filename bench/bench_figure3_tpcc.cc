@@ -151,7 +151,9 @@ int Main(int argc, char** argv) {
   }
   printf("running multi-region placement...\n\n");
   std::unique_ptr<tpcc::TpccDb> multi_db;
-  auto multi = RunTpcc(config, regions, db::Backend::kNoFtl, &multi_db);
+  std::vector<SimTime> multi_busy;
+  auto multi =
+      RunTpcc(config, regions, db::Backend::kNoFtl, &multi_db, &multi_busy);
   if (!multi.ok()) {
     fprintf(stderr, "multi-region run failed: %s\n",
             multi.status().ToString().c_str());
@@ -203,7 +205,7 @@ int Main(int argc, char** argv) {
          multi->write_amplification, multi->buffer_hit_rate, multi->max_erase,
          multi->avg_erase);
   printf("\nper-region detail (multi-region run):\n");
-  PrintRegionDetail(multi_db.get());
+  PrintRegionDetail(multi_db.get(), multi_busy);
   return 0;
 }
 

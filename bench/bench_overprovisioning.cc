@@ -3,8 +3,9 @@
 // Random overwrite of the full logical space at OP ratios from 7% to 40%.
 // The classic SSD trade-off curve: WA falls steeply as spare capacity
 // grows. Regions expose the same lever per object (a region's unallocated
-// capacity is its OP), which is why write-rate-proportional die allocation
-// works — this table calibrates the underlying curve.
+// capacity is its OP), which is why the TPC-C placement model charges each
+// host write the GC cost at its region's utilization — this table
+// calibrates the underlying curve.
 //
 // Flags: dies=16 blocks=48 writes_x=3 (multiples of logical capacity)
 #include <cstdio>

@@ -113,12 +113,26 @@ struct TpccBenchConfig {
   }
 };
 
+/// Die busy time of every region of `db`, in RegionManager order (empty
+/// on the FTL backend).
+inline std::vector<SimTime> RegionDieBusyTimes(tpcc::TpccDb* db) {
+  std::vector<SimTime> busy;
+  if (db->database()->regions() == nullptr) return busy;
+  for (auto* rg : db->database()->regions()->regions()) {
+    busy.push_back(rg->DieBusyTime());
+  }
+  return busy;
+}
+
 /// Load TPC-C under `placement` and run `transactions` of the standard mix.
-/// Pass `out_db` to keep the loaded database for post-run inspection.
+/// Pass `out_db` to keep the loaded database for post-run inspection, and
+/// `run_busy` to receive each region's die busy time accumulated during the
+/// driver run (warmup included, load excluded; RegionDieBusyTimes order).
 inline Result<tpcc::DriverReport> RunTpcc(
     const TpccBenchConfig& config, const tpcc::PlacementConfig& placement,
     db::Backend backend = db::Backend::kNoFtl,
-    std::unique_ptr<tpcc::TpccDb>* out_db = nullptr) {
+    std::unique_ptr<tpcc::TpccDb>* out_db = nullptr,
+    std::vector<SimTime>* run_busy = nullptr) {
   tpcc::TpccDbOptions options;
   options.db = config.DbOptions();
   options.db.backend = backend;
@@ -134,22 +148,35 @@ inline Result<tpcc::DriverReport> RunTpcc(
   driver_options.max_transactions = config.transactions;
   driver_options.warmup_transactions = config.warmup;
   driver_options.seed = config.seed + 1;
+  const std::vector<SimTime> busy_before = RegionDieBusyTimes(db->get());
   tpcc::TpccDriver driver(db->get(), driver_options);
   auto report = driver.Run();
   if (!report.ok()) return report.status();
   report->label = placement.label;
+  if (run_busy != nullptr) {
+    *run_busy = RegionDieBusyTimes(db->get());
+    for (size_t i = 0; i < run_busy->size(); i++) {
+      (*run_busy)[i] -= busy_before[i];
+    }
+  }
   if (out_db != nullptr) *out_db = std::move(*db);
   return *report;
 }
 
-/// Per-region one-line diagnostics (utilization, GC traffic).
-inline void PrintRegionDetail(tpcc::TpccDb* db) {
+/// Per-region one-line diagnostics (utilization, GC traffic, and RunTpcc's
+/// `run_busy` as die busy seconds per die).
+inline void PrintRegionDetail(tpcc::TpccDb* db,
+                              const std::vector<SimTime>& run_busy) {
   if (db->database()->regions() == nullptr) return;
-  printf("  %-10s %5s %10s %10s %6s %12s %12s %10s\n", "region", "dies",
-         "valid", "physical", "util", "host_writes", "copybacks", "erases");
+  printf("  %-10s %5s %10s %10s %6s %12s %12s %10s %10s\n", "region", "dies",
+         "valid", "physical", "util", "host_writes", "copybacks", "erases",
+         "busy s/die");
+  size_t i = 0;
   for (auto* rg : db->database()->regions()->regions()) {
     const auto& m = rg->mapper();
-    printf("  %-10s %5zu %10llu %10llu %5.1f%% %12llu %12llu %10llu\n",
+    const double busy_per_die = static_cast<double>(run_busy.at(i++)) / 1e6 /
+                                static_cast<double>(m.die_count());
+    printf("  %-10s %5zu %10llu %10llu %5.1f%% %12llu %12llu %10llu %10.1f\n",
            rg->name().c_str(), m.die_count(),
            static_cast<unsigned long long>(m.valid_pages()),
            static_cast<unsigned long long>(m.physical_pages()),
@@ -157,7 +184,8 @@ inline void PrintRegionDetail(tpcc::TpccDb* db) {
                static_cast<double>(m.physical_pages()),
            static_cast<unsigned long long>(m.stats().host_writes),
            static_cast<unsigned long long>(m.stats().gc_copybacks),
-           static_cast<unsigned long long>(m.stats().gc_erases));
+           static_cast<unsigned long long>(m.stats().gc_erases),
+           busy_per_die);
   }
 }
 

@@ -43,6 +43,12 @@ Region::Region(RegionId id, const RegionOptions& options,
 
 uint32_t Region::page_size() const { return device_->geometry().page_size; }
 
+SimTime Region::DieBusyTime() const {
+  SimTime busy = 0;
+  for (flash::DieId die : dies()) busy += device_->DieBusyTime(die);
+  return busy;
+}
+
 Status Region::ReadPage(uint64_t rlpn, SimTime issue, char* data,
                         SimTime* complete) {
   return mapper_->Read(rlpn, issue, flash::OpOrigin::kHost, data, complete);

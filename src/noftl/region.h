@@ -127,6 +127,9 @@ class Region {
   // --- Wear & maintenance ---
 
   double AvgEraseCount() const { return mapper_->AvgEraseCount(); }
+  /// Busy time accumulated by the region's dies (FlashDevice::DieBusyTime
+  /// summed over dies()); divide by dies().size() for busy time per die.
+  SimTime DieBusyTime() const;
   /// Cross-check the region's translation state (bitmaps, candidate
   /// buckets, free pools) against the device; O(physical pages).
   Status VerifyIntegrity() const { return mapper_->VerifyIntegrity(); }

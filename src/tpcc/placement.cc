@@ -6,6 +6,7 @@
 #include <map>
 #include <tuple>
 
+#include "flash/geometry.h"
 #include "ftl/mapping.h"
 #include "tpcc/schema.h"
 
@@ -169,35 +170,41 @@ std::vector<ObjectFootprint> EstimateFootprints(const TpccScale& scale,
   // Payments roughly equal NewOrders in the mix; each appends one HISTORY row.
   const uint64_t hist = c + expected_new_orders;
 
-  // Rate weights profiled from a traditional-placement TPC-C run of this
-  // engine (per-object host page I/O, normalized). Write rates are the GC
-  // driver: STOCK dominates because every NewOrder updates ~10 *random*
-  // stock pages, while append streams (ORDERLINE, HISTORY) and right-edge
-  // index inserts coalesce many rows into one page write between flushes.
+  // Host page reads and writes per transaction, measured (see the header).
+  // STOCK leads the writes: every NewOrder updates ~10 *random* stock pages,
+  // while append streams (ORDERLINE, HISTORY) and right-edge index inserts
+  // coalesce many rows into one page write between flushes. The read-only
+  // probe indexes (S_IDX, I_IDX, C_IDX) and ITEM are read-hot.
   std::vector<ObjectFootprint> out = {
-      {"WAREHOUSE", PagesFor(w, sizeof(WarehouseRow), page_size), 2.0, 0.8},
-      {"DISTRICT", PagesFor(d, sizeof(DistrictRow), page_size), 3.0, 1.2},
-      {"CUSTOMER", PagesFor(c, sizeof(CustomerRow), page_size), 10.0, 2.5},
-      {"HISTORY", PagesFor(hist, sizeof(HistoryRow), page_size), 1.5, 0.4},
+      {"WAREHOUSE", PagesFor(w, sizeof(WarehouseRow), page_size), 0.0002,
+       0.0217},
+      {"DISTRICT", PagesFor(d, sizeof(DistrictRow), page_size), 0.0000,
+       0.0217},
+      {"CUSTOMER", PagesFor(c, sizeof(CustomerRow), page_size), 4.2367,
+       0.8221},
+      {"HISTORY", PagesFor(hist, sizeof(HistoryRow), page_size), 0.0010,
+       0.0281},
       {"NEW_ORDER", PagesFor(new0 + expected_new_orders / 10,
-                             sizeof(NewOrderRow), page_size), 2.5, 0.7},
-      {"ORDER", PagesFor(orders, sizeof(OrderRow), page_size), 3.0, 0.8},
-      {"ORDERLINE", PagesFor(ol, sizeof(OrderLineRow), page_size), 12.0, 2.0},
-      {"ITEM", PagesFor(w ? scale.items : 0, sizeof(ItemRow), page_size), 6.0,
-       0.02},
-      {"STOCK", PagesFor(stock, sizeof(StockRow), page_size), 20.0, 12.0},
-      {"W_IDX", IndexPagesFor(w, page_size), 2.0, 0.05},
-      {"D_IDX", IndexPagesFor(d, page_size), 3.0, 0.05},
-      {"C_IDX", IndexPagesFor(c, page_size), 6.0, 0.3},
-      {"C_NAME_IDX", IndexPagesFor(c, page_size), 2.0, 0.05},
-      {"I_IDX", IndexPagesFor(scale.items, page_size), 6.0, 0.05},
-      {"S_IDX", IndexPagesFor(stock, page_size), 12.0, 0.5},
+                             sizeof(NewOrderRow), page_size), 0.1962, 0.2611},
+      {"ORDER", PagesFor(orders, sizeof(OrderRow), page_size), 0.1572,
+       0.1941},
+      {"ORDERLINE", PagesFor(ol, sizeof(OrderLineRow), page_size), 0.9174,
+       0.4721},
+      {"ITEM", PagesFor(w ? scale.items : 0, sizeof(ItemRow), page_size),
+       3.7985, 0.0000},
+      {"STOCK", PagesFor(stock, sizeof(StockRow), page_size), 9.5622, 4.1002},
+      {"W_IDX", IndexPagesFor(w, page_size), 0.0016, 0.0000},
+      {"D_IDX", IndexPagesFor(d, page_size), 0.0004, 0.0000},
+      {"C_IDX", IndexPagesFor(c, page_size), 0.9678, 0.0000},
+      {"C_NAME_IDX", IndexPagesFor(c, page_size), 0.3612, 0.0000},
+      {"I_IDX", IndexPagesFor(scale.items, page_size), 3.5599, 0.0000},
+      {"S_IDX", IndexPagesFor(stock, page_size), 6.9829, 0.0000},
       {"NO_IDX", IndexPagesFor(new0 + expected_new_orders / 10, page_size),
-       2.5, 1.0},
-      {"O_IDX", IndexPagesFor(orders, page_size), 2.0, 0.7},
-      {"O_CUST_IDX", IndexPagesFor(orders, page_size), 2.0, 0.7},
-      {"OL_IDX", IndexPagesFor(ol, page_size), 10.0, 3.0},
-      {"DBMS_METADATA", 4, 0.1, 0.01},
+       2.8610, 0.3907},
+      {"O_IDX", IndexPagesFor(orders, page_size), 0.4478, 0.2001},
+      {"O_CUST_IDX", IndexPagesFor(orders, page_size), 0.5667, 0.4409},
+      {"OL_IDX", IndexPagesFor(ol, page_size), 0.8565, 0.2913},
+      {"DBMS_METADATA", 4, 0.0000, 0.0000},
   };
   cache.emplace(key, out);
   return out;
@@ -240,6 +247,86 @@ uint64_t UsablePagesPerDie(uint32_t blocks_per_die, uint32_t pages_per_block) {
   return static_cast<uint64_t>(blocks_per_die - reserve) * pages_per_block;
 }
 
+double ModelledServiceDemand(const RegionDemand& demand, uint32_t dies,
+                             uint64_t usable_pages_per_die) {
+  const flash::FlashTiming timing;
+  const double pages_per_block = flash::FlashGeometry{}.pages_per_block;
+  const double u = static_cast<double>(demand.pages) /
+                   (static_cast<double>(dies) *
+                    static_cast<double>(usable_pages_per_die));
+  // Greedy victims under uniform random updates hold v valid pages per
+  // page, where u = (1 - v) / -ln(v); (1 - v) / -ln(v) rises from 0 to 1 on
+  // (0, 1), so bisect for v (a full region, u >= 1, converges to v = 1).
+  double lo = 0, hi = 1;
+  for (int i = 0; u > 0 && i < 60; i++) {
+    const double mid = (lo + hi) / 2;
+    if ((1 - mid) / -std::log(mid) < u) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  const double v = std::min(lo, 0.999);
+  const double gc_per_write =
+      v / (1 - v) * static_cast<double>(timing.copyback_us) +
+      static_cast<double>(timing.erase_us) / (pages_per_block * (1 - v));
+  return demand.reads *
+             static_cast<double>(timing.read_us + timing.transfer_us) +
+         demand.writes * (static_cast<double>(timing.program_us +
+                                              timing.transfer_us) +
+                          gc_per_write);
+}
+
+PlacementConfig ApportionByServiceDemand(
+    const std::vector<PlacementGroup>& groups, const std::string& label,
+    const std::vector<RegionDemand>& demand, uint32_t total_dies,
+    uint64_t usable_pages_per_die, double capacity_margin) {
+  assert(demand.size() == groups.size());
+  const size_t n = groups.size();
+  // Step 1: minimum dies to hold capacity_margin x the footprint.
+  std::vector<uint32_t> dies(n);
+  uint32_t assigned = 0;
+  for (size_t i = 0; i < n; i++) {
+    dies[i] = std::max<uint32_t>(
+        1, static_cast<uint32_t>(std::ceil(
+               capacity_margin * static_cast<double>(demand[i].pages) /
+               static_cast<double>(usable_pages_per_die))));
+    assigned += dies[i];
+  }
+  if (assigned > total_dies) {
+    // Device undersized for the margin: fall back to footprint shares.
+    std::vector<double> weights(n);
+    for (size_t i = 0; i < n; i++) {
+      weights[i] = static_cast<double>(demand[i].pages) + 1.0;
+    }
+    dies = Apportion(weights, total_dies);
+  } else {
+    // Step 2: water-fill the spare dies over modelled service time per die.
+    for (; assigned < total_dies; assigned++) {
+      size_t busiest = 0;
+      double busiest_load = -1;
+      for (size_t i = 0; i < n; i++) {
+        const double load =
+            ModelledServiceDemand(demand[i], dies[i], usable_pages_per_die) /
+            dies[i];
+        if (load > busiest_load) {
+          busiest = i;
+          busiest_load = load;
+        }
+      }
+      dies[busiest]++;
+    }
+  }
+
+  PlacementConfig config;
+  config.label = label;
+  for (size_t i = 0; i < n; i++) {
+    config.regions.push_back(
+        PlacementRegionSpec{groups[i].name, dies[i], 0, groups[i].objects});
+  }
+  return config;
+}
+
 PlacementConfig DeriveGroupedPlacement(const std::vector<PlacementGroup>& groups,
                                        const std::string& label,
                                        const TpccScale& scale,
@@ -247,106 +334,22 @@ PlacementConfig DeriveGroupedPlacement(const std::vector<PlacementGroup>& groups
                                        uint64_t expected_new_orders,
                                        uint32_t total_dies,
                                        uint64_t usable_pages_per_die,
-                                       double size_alpha,
                                        double capacity_margin) {
   const auto footprints =
       EstimateFootprints(scale, page_size, expected_new_orders);
-  auto footprint_of = [&](const std::string& object) -> const ObjectFootprint& {
-    for (const auto& f : footprints) {
-      if (f.object == object) return f;
-    }
-    static const ObjectFootprint kZero{"", 0, 0.0, 0.0};
-    return kZero;
-  };
-  std::vector<uint64_t> group_pages(groups.size(), 0);
-  std::vector<double> group_write(groups.size(), 0.0);
-  std::vector<double> group_size(groups.size(), 0.0);
-  uint64_t total_pages = 0;
+  std::vector<RegionDemand> demand(groups.size());
   for (size_t i = 0; i < groups.size(); i++) {
     for (const auto& object : groups[i].objects) {
-      const auto& f = footprint_of(object);
-      group_pages[i] += f.pages;
-      group_write[i] += f.write_rate_weight;
-    }
-    total_pages += group_pages[i];
-  }
-  for (size_t i = 0; i < groups.size(); i++) {
-    group_size[i] = static_cast<double>(group_pages[i]) /
-                    static_cast<double>(total_pages);
-  }
-
-  // Step 1: minimum dies to hold capacity_margin x the footprint.
-  std::vector<uint32_t> dies(groups.size());
-  uint32_t assigned = 0;
-  for (size_t i = 0; i < groups.size(); i++) {
-    dies[i] = std::max<uint32_t>(
-        1, static_cast<uint32_t>(std::ceil(
-               capacity_margin * static_cast<double>(group_pages[i]) /
-               static_cast<double>(usable_pages_per_die))));
-    assigned += dies[i];
-  }
-  if (assigned > total_dies) {
-    // Device undersized for the margin: fall back to proportional shares.
-    return [&] {
-      PlacementConfig config;
-      config.label = label;
-      std::vector<double> weights(groups.size());
-      for (size_t i = 0; i < groups.size(); i++) {
-        weights[i] = static_cast<double>(group_pages[i]) + 1.0;
+      for (const auto& f : footprints) {
+        if (f.object != object) continue;
+        demand[i].pages += f.pages;
+        demand[i].reads += f.reads_per_txn;
+        demand[i].writes += f.writes_per_txn;
       }
-      const auto shares = Apportion(weights, total_dies);
-      for (size_t i = 0; i < groups.size(); i++) {
-        config.regions.push_back(PlacementRegionSpec{
-            groups[i].name, shares[i], 0, groups[i].objects});
-      }
-      return config;
-    }();
-  }
-
-  // Step 2: the spare dies are the device's over-provisioning. Hand them to
-  // regions by write rate (optionally blended with size by size_alpha):
-  // GC write amplification rises steeply with utilization, so OP belongs
-  // where the page writes land.
-  uint32_t spare = total_dies - assigned;
-  std::vector<double> spare_weight(groups.size());
-  double total_write = 0;
-  for (double wr : group_write) total_write += wr;
-  for (size_t i = 0; i < groups.size(); i++) {
-    const double write_share = group_write[i] / total_write;
-    spare_weight[i] = size_alpha * group_size[i] +
-                      (1.0 - size_alpha) * write_share;
-  }
-  // Largest-remainder distribution of the spare.
-  {
-    double wsum = 0;
-    for (double w : spare_weight) wsum += w;
-    std::vector<std::pair<double, size_t>> remainders;
-    uint32_t handed = 0;
-    for (size_t i = 0; i < groups.size(); i++) {
-      const double exact = spare_weight[i] / wsum * spare;
-      const auto whole = static_cast<uint32_t>(exact);
-      dies[i] += whole;
-      handed += whole;
-      remainders.emplace_back(exact - whole, i);
-    }
-    std::sort(remainders.begin(), remainders.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (size_t k = 0; handed < spare; k = (k + 1) % groups.size()) {
-      dies[remainders[k].second]++;
-      handed++;
     }
   }
-
-  PlacementConfig config;
-  config.label = label;
-  for (size_t i = 0; i < groups.size(); i++) {
-    PlacementRegionSpec spec;
-    spec.region_name = groups[i].name;
-    spec.dies = dies[i];
-    spec.objects = groups[i].objects;
-    config.regions.push_back(spec);
-  }
-  return config;
+  return ApportionByServiceDemand(groups, label, demand, total_dies,
+                                  usable_pages_per_die, capacity_margin);
 }
 
 PlacementConfig DeriveFigure2Placement(const TpccScale& scale,
@@ -354,12 +357,10 @@ PlacementConfig DeriveFigure2Placement(const TpccScale& scale,
                                        uint64_t expected_new_orders,
                                        uint32_t total_dies,
                                        uint64_t usable_pages_per_die,
-                                       double size_alpha,
                                        double capacity_margin) {
   return DeriveGroupedPlacement(Figure2Grouping(), "figure2-derived", scale,
                                 page_size, expected_new_orders, total_dies,
-                                usable_pages_per_die, size_alpha,
-                                capacity_margin);
+                                usable_pages_per_die, capacity_margin);
 }
 
 uint32_t SuggestBlocksPerDie(const TpccScale& scale, uint32_t page_size,

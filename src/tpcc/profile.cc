@@ -63,90 +63,22 @@ PlacementConfig DerivePlacementFromProfile(
     const std::vector<ObjectProfile>& profile, uint32_t total_dies,
     uint64_t usable_pages_per_die, double growth_factor,
     double capacity_margin) {
-  auto profile_of = [&](const std::string& object) -> const ObjectProfile& {
-    static const ObjectProfile kZero;
-    for (const auto& p : profile) {
-      if (p.object == object) return p;
-    }
-    return kZero;
-  };
-
-  const size_t n = groups.size();
-  std::vector<uint64_t> group_pages(n, 0);
-  std::vector<double> group_writes(n, 0.0);
-  for (size_t i = 0; i < n; i++) {
+  std::vector<RegionDemand> demand(groups.size());
+  for (size_t i = 0; i < groups.size(); i++) {
+    uint64_t pages = 0;
     for (const auto& object : groups[i].objects) {
-      const ObjectProfile& p = profile_of(object);
-      group_pages[i] += p.pages;
-      group_writes[i] += static_cast<double>(p.writes);
+      for (const auto& p : profile) {
+        if (p.object != object) continue;
+        pages += p.pages;
+        demand[i].reads += static_cast<double>(p.reads);
+        demand[i].writes += static_cast<double>(p.writes);
+      }
     }
+    demand[i].pages = static_cast<uint64_t>(
+        std::ceil(growth_factor * static_cast<double>(pages)));
   }
-
-  // Footprint-first with growth headroom.
-  std::vector<uint32_t> dies(n);
-  uint32_t assigned = 0;
-  for (size_t i = 0; i < n; i++) {
-    dies[i] = std::max<uint32_t>(
-        1, static_cast<uint32_t>(std::ceil(
-               capacity_margin * growth_factor *
-               static_cast<double>(group_pages[i]) /
-               static_cast<double>(usable_pages_per_die))));
-    assigned += dies[i];
-  }
-  PlacementConfig config;
-  config.label = label;
-  if (assigned > total_dies) {
-    // Profile bigger than the device allows at this margin: degrade to
-    // pure proportional-by-pages.
-    double total_pages = 0;
-    for (uint64_t p : group_pages) total_pages += static_cast<double>(p);
-    uint32_t handed = 0;
-    for (size_t i = 0; i < n; i++) {
-      dies[i] = std::max<uint32_t>(
-          1, static_cast<uint32_t>(static_cast<double>(group_pages[i]) /
-                                   total_pages * total_dies));
-      handed += dies[i];
-    }
-    while (handed > total_dies) {
-      const size_t imax = static_cast<size_t>(
-          std::max_element(dies.begin(), dies.end()) - dies.begin());
-      dies[imax]--;
-      handed--;
-    }
-    size_t k = 0;
-    while (handed < total_dies) {
-      dies[k % n]++;
-      handed++;
-      k++;
-    }
-  } else {
-    // Spare dies follow the measured write counts.
-    const uint32_t spare = total_dies - assigned;
-    double total_writes = 0;
-    for (double w : group_writes) total_writes += w;
-    if (total_writes == 0) total_writes = 1;
-    std::vector<std::pair<double, size_t>> remainders;
-    uint32_t handed = 0;
-    for (size_t i = 0; i < n; i++) {
-      const double exact = group_writes[i] / total_writes * spare;
-      const auto whole = static_cast<uint32_t>(exact);
-      dies[i] += whole;
-      handed += whole;
-      remainders.emplace_back(exact - whole, i);
-    }
-    std::sort(remainders.begin(), remainders.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (size_t k = 0; handed < spare; k = (k + 1) % n) {
-      dies[remainders[k].second]++;
-      handed++;
-    }
-  }
-
-  for (size_t i = 0; i < n; i++) {
-    config.regions.push_back(
-        PlacementRegionSpec{groups[i].name, dies[i], 0, groups[i].objects});
-  }
-  return config;
+  return ApportionByServiceDemand(groups, label, demand, total_dies,
+                                  usable_pages_per_die, capacity_margin);
 }
 
 }  // namespace noftl::tpcc

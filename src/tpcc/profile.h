@@ -5,8 +5,8 @@
 //
 // After any run, CollectProfile() reads the engine's per-object page counts
 // and I/O counters; DerivePlacementFromProfile() turns them into a region
-// configuration with the same footprint-first / spare-by-write-rate rule
-// used for the analytic derivation — no hand-tuned weights involved.
+// configuration with the same footprint-first / spare-by-service-demand rule
+// (ApportionByServiceDemand) used for the analytic derivation.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +29,10 @@ struct ObjectProfile {
 /// TPC-C database.
 std::vector<ObjectProfile> CollectProfile(TpccDb* db);
 
-/// Die allocation for `groups` from a measured profile: every region gets
-/// capacity_margin x its measured pages (plus `growth_factor` headroom for
-/// append-heavy objects), the spare dies follow measured write counts.
+/// Die allocation for `groups` from a measured profile, through
+/// ApportionByServiceDemand: a region's footprint is `growth_factor` x its
+/// measured pages (headroom for append-heavy objects), and its demand is the
+/// measured page reads and writes of the profiled run.
 PlacementConfig DerivePlacementFromProfile(
     const std::vector<PlacementGroup>& groups, const std::string& label,
     const std::vector<ObjectProfile>& profile, uint32_t total_dies,

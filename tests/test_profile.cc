@@ -1,7 +1,10 @@
 // Per-object I/O statistics and profile-driven placement: the statistics
 // pipeline (tablespace attribution -> ObjectIoStats -> CollectProfile ->
-// DerivePlacementFromProfile), plus DROP storage reclamation.
+// DerivePlacementFromProfile), a drift guard for the static rate table, plus
+// DROP storage reclamation.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "tpcc/driver.h"
 #include "tpcc/profile.h"
@@ -104,6 +107,59 @@ TEST(ObjectStatsTest, ProfiledPlacementIsValid) {
     if (r.region_name == "rg_stock") stock_dies = r.dies;
   }
   EXPECT_GT(stock_dies, geo.total_dies() / 5);
+}
+
+// Drift guard for EstimateFootprints' rate table, which was measured on a
+// 200k-transaction traditional-placement run of the Figure 3 configuration.
+// A short run of the same configuration must land within 35% + 0.05 per
+// transaction of every object's tabled reads and writes: run length alone
+// moves the growing objects (NO_IDX, NEW_ORDER, ORDERLINE) by up to ~30%,
+// while a change in access patterns moves them by far more. When this
+// fails, re-measure the table (`bench_figure2_placement profile=1
+// warmup=50000 txns=150000`) and commit the new rates with the change.
+TEST(ProfileDriftTest, RateTableMatchesAShortFigure3Run) {
+  TpccScale scale;
+  scale.warehouses = 1;  // one full-scale warehouse
+  TpccDbOptions options;
+  options.scale = scale;
+  auto& geo = options.db.geometry;
+  geo.channels = 16;
+  geo.dies_per_channel = 4;
+  geo.pages_per_block = 64;
+  geo.page_size = 4096;
+  geo.blocks_per_die = SuggestBlocksPerDie(scale, geo.page_size, 90000,
+                                           geo.total_dies(),
+                                           geo.pages_per_block);
+  geo.blocks_per_die =
+      (geo.blocks_per_die + geo.planes_per_die - 1) / geo.planes_per_die *
+      geo.planes_per_die;
+  options.db.buffer.frame_count = 1024;
+  options.db.buffer.flush_batch = 16;
+  options.db.buffer.flush_high_water = 0.20;
+  options.placement = TraditionalPlacement(geo.total_dies());
+  auto db = TpccDb::CreateAndLoad(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  db->get()->database()->io_stats()->Reset();
+
+  constexpr uint64_t kTxns = 6000;
+  DriverOptions driver_options;
+  driver_options.terminals = 8;
+  driver_options.max_transactions = kTxns;
+  ASSERT_TRUE(TpccDriver(db->get(), driver_options).Run().ok());
+
+  const auto table = EstimateFootprints(scale, geo.page_size, 90000);
+  for (const auto& p : CollectProfile(db->get())) {
+    const auto f = std::find_if(table.begin(), table.end(), [&](const auto& t) {
+      return t.object == p.object;
+    });
+    ASSERT_NE(f, table.end()) << p.object;
+    const double reads = static_cast<double>(p.reads) / kTxns;
+    const double writes = static_cast<double>(p.writes) / kTxns;
+    EXPECT_NEAR(reads, f->reads_per_txn, 0.35 * f->reads_per_txn + 0.05)
+        << p.object << " reads per transaction drifted from the rate table";
+    EXPECT_NEAR(writes, f->writes_per_txn, 0.35 * f->writes_per_txn + 0.05)
+        << p.object << " writes per transaction drifted from the rate table";
+  }
 }
 
 TEST(DropStorageTest, DropTableReleasesFlashSpace) {

@@ -2,6 +2,8 @@
 // behaviour, and database consistency checks after a driver run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "tpcc/driver.h"
@@ -112,6 +114,168 @@ TEST(PlacementTest, DerivedPlacementCoversDiesAndFitsFootprints) {
     EXPECT_GT(static_cast<uint64_t>(r.dies) * pages_per_die, pages)
         << r.region_name;
   }
+}
+
+// The Figure 3 benchmark device: 1 full-scale warehouse grown by 90k
+// NewOrders on 64 dies of 26 blocks (64 pages of 4 KiB each).
+constexpr uint64_t kFigure3NewOrders = 90000;
+constexpr uint32_t kFigure3Dies = 64;
+const uint64_t kFigure3UsablePerDie = UsablePagesPerDie(26, 64);
+
+TpccScale Figure3Scale() {
+  TpccScale scale;
+  scale.warehouses = 1;
+  return scale;
+}
+
+/// Figure 2 groups' demand from EstimateFootprints (pages, reads, writes).
+std::vector<RegionDemand> Figure2Demand(const TpccScale& scale,
+                                        uint64_t new_orders) {
+  const auto footprints = EstimateFootprints(scale, 4096, new_orders);
+  std::vector<RegionDemand> demand;
+  for (const auto& group : Figure2Grouping()) {
+    RegionDemand d;
+    for (const auto& object : group.objects) {
+      for (const auto& f : footprints) {
+        if (f.object != object) continue;
+        d.pages += f.pages;
+        d.reads += f.reads_per_txn;
+        d.writes += f.writes_per_txn;
+      }
+    }
+    demand.push_back(d);
+  }
+  return demand;
+}
+
+uint32_t CapacityMinimum(const RegionDemand& d, uint64_t usable_per_die) {
+  return std::max<uint32_t>(
+      1, static_cast<uint32_t>(std::ceil(1.10 * static_cast<double>(d.pages) /
+                                         static_cast<double>(usable_per_die))));
+}
+
+double MaxLoadPerDie(const std::vector<RegionDemand>& demand,
+                     const std::vector<uint32_t>& dies,
+                     uint64_t usable_per_die) {
+  double worst = 0;
+  for (size_t i = 0; i < demand.size(); i++) {
+    worst = std::max(worst, ModelledServiceDemand(demand[i], dies[i],
+                                                  usable_per_die) /
+                                dies[i]);
+  }
+  return worst;
+}
+
+std::vector<uint32_t> DiesOf(const PlacementConfig& c) {
+  std::vector<uint32_t> dies;
+  for (const auto& r : c.regions) dies.push_back(r.dies);
+  return dies;
+}
+
+TEST(ServiceDemandTest, DiesSumToTotalAndMeetCapacityMinimums) {
+  const TpccScale scale = Figure3Scale();
+  for (const uint64_t new_orders : {uint64_t{27000}, kFigure3NewOrders}) {
+    const auto demand = Figure2Demand(scale, new_orders);
+    const PlacementConfig c =
+        ApportionByServiceDemand(Figure2Grouping(), "t", demand, kFigure3Dies,
+                                 kFigure3UsablePerDie);
+    EXPECT_EQ(c.TotalDies(), kFigure3Dies);
+    ASSERT_EQ(c.regions.size(), demand.size());
+    for (size_t i = 0; i < demand.size(); i++) {
+      EXPECT_GE(c.regions[i].dies,
+                CapacityMinimum(demand[i], kFigure3UsablePerDie))
+          << c.regions[i].region_name;
+    }
+  }
+}
+
+TEST(ServiceDemandTest, StaticDerivationUsesTheSameRoutine) {
+  const TpccScale scale = Figure3Scale();
+  const PlacementConfig derived =
+      DeriveFigure2Placement(scale, 4096, kFigure3NewOrders, kFigure3Dies,
+                             kFigure3UsablePerDie);
+  const PlacementConfig direct = ApportionByServiceDemand(
+      Figure2Grouping(), "t", Figure2Demand(scale, kFigure3NewOrders),
+      kFigure3Dies, kFigure3UsablePerDie);
+  EXPECT_EQ(DiesOf(derived), DiesOf(direct));
+}
+
+TEST(ServiceDemandTest, MoreReadsNeverCostARegionDies) {
+  const TpccScale scale = Figure3Scale();
+  const auto base = Figure2Demand(scale, kFigure3NewOrders);
+  for (size_t g = 0; g < base.size(); g++) {
+    uint32_t previous = 0;
+    for (const double factor : {1.0, 1.25, 1.5, 2.0, 3.0, 5.0}) {
+      auto demand = base;
+      demand[g].reads = base[g].reads * factor + (factor - 1.0);
+      const PlacementConfig c =
+          ApportionByServiceDemand(Figure2Grouping(), "t", demand,
+                                   kFigure3Dies, kFigure3UsablePerDie);
+      EXPECT_GE(c.regions[g].dies, previous)
+          << c.regions[g].region_name << " at reads x" << factor;
+      previous = c.regions[g].dies;
+    }
+  }
+}
+
+TEST(ServiceDemandTest, NoSingleDieMoveLowersTheModelledMaximum) {
+  const TpccScale scale = Figure3Scale();
+  struct Case {
+    uint64_t new_orders;
+    uint32_t dies;
+    uint64_t usable;
+  };
+  for (const Case& k : {Case{kFigure3NewOrders, 64, kFigure3UsablePerDie},
+                        Case{27000, 64, UsablePagesPerDie(20, 64)},
+                        Case{kFigure3NewOrders, 96, kFigure3UsablePerDie},
+                        Case{kFigure3NewOrders, 48, UsablePagesPerDie(40, 64)}}) {
+    const auto demand = Figure2Demand(scale, k.new_orders);
+    const std::vector<uint32_t> dies = DiesOf(ApportionByServiceDemand(
+        Figure2Grouping(), "t", demand, k.dies, k.usable));
+    const double best = MaxLoadPerDie(demand, dies, k.usable);
+    for (size_t from = 0; from < dies.size(); from++) {
+      if (dies[from] - 1 < CapacityMinimum(demand[from], k.usable)) continue;
+      for (size_t to = 0; to < dies.size(); to++) {
+        if (to == from) continue;
+        auto moved = dies;
+        moved[from]--;
+        moved[to]++;
+        EXPECT_GE(MaxLoadPerDie(demand, moved, k.usable), best)
+            << "moving a die from group " << from << " to " << to
+            << " at " << k.dies << " dies";
+      }
+    }
+  }
+}
+
+TEST(ServiceDemandTest, SpareDiesGoToReadHotRegionsOnFigure3Device) {
+  const TpccScale scale = Figure3Scale();
+  const auto demand = Figure2Demand(scale, kFigure3NewOrders);
+  const PlacementConfig c =
+      DeriveFigure2Placement(scale, 4096, kFigure3NewOrders, kFigure3Dies,
+                             kFigure3UsablePerDie);
+  ASSERT_EQ(c.regions[2].region_name, "rg_cust");
+  EXPECT_GT(c.regions[2].dies,
+            CapacityMinimum(demand[2], kFigure3UsablePerDie));
+  // rg_order is large but I/O-light: its dies are idle even at the
+  // capacity minimum, so it gets no spare.
+  ASSERT_EQ(c.regions[1].region_name, "rg_order");
+  EXPECT_EQ(c.regions[1].dies,
+            CapacityMinimum(demand[1], kFigure3UsablePerDie));
+}
+
+TEST(ServiceDemandTest, GcCostFallsWithMoreDies) {
+  // Same traffic on more dies: lower utilization, cheaper GC per write.
+  RegionDemand d{10000, 1.0, 1.0};
+  const uint64_t usable = UsablePagesPerDie(26, 64);
+  double previous = ModelledServiceDemand(d, 7, usable);
+  for (uint32_t dies = 8; dies <= 32; dies++) {
+    const double now = ModelledServiceDemand(d, dies, usable);
+    EXPECT_LT(now, previous) << dies;
+    previous = now;
+  }
+  // Reads alone cost read + transfer (90 us) whatever the die count.
+  EXPECT_DOUBLE_EQ(ModelledServiceDemand({10000, 2.0, 0.0}, 9, usable), 180.0);
 }
 
 TEST(PlacementTest, SuggestBlocksPerDieHitsUtilizationTarget) {

@@ -12,8 +12,9 @@
 // With profile=1 it instead re-measures that rate table: it loads TPC-C
 // under the traditional placement, runs warmup + txns transactions and
 // prints every object's measured reads and writes per transaction and its
-// final page count, next to the committed table. Run it at the Figure 3
-// configuration the table was measured on:
+// final page count, next to the committed table, and every index's entries
+// per page (its leaf fill; a full 4 KiB leaf holds 169 entries). Run it at
+// the Figure 3 configuration the table was measured on:
 //   bench_figure2_placement profile=1 warmup=50000 txns=150000
 //
 // Flags: warehouses=1 txns=30000 warmup=txns dies=64 profile=0
@@ -55,16 +56,21 @@ int Profile(const TpccBenchConfig& config) {
       config.ExpectedNewOrders());
   printf("measured per-transaction page I/O, traditional placement, "
          "%.0f transactions:\n", txns);
-  printf("  %-14s %10s %10s | %10s %10s | %10s %10s\n", "object",
+  printf("  %-14s %10s %10s | %10s %10s | %10s %10s %10s\n", "object",
          "reads/txn", "writes/txn", "table rd", "table wr", "pages",
-         "est pages");
+         "entries/pg", "est pages");
   for (const auto& p : profile) {
     for (const auto& f : table) {
       if (f.object != p.object) continue;
-      printf("  %-14s %10.4f %10.4f | %10.4f %10.4f | %10llu %10llu\n",
+      char fill[16] = "-";
+      if (p.entries > 0 && p.pages > 0) {
+        snprintf(fill, sizeof(fill), "%.1f",
+                 static_cast<double>(p.entries) / static_cast<double>(p.pages));
+      }
+      printf("  %-14s %10.4f %10.4f | %10.4f %10.4f | %10llu %10s %10llu\n",
              p.object.c_str(), static_cast<double>(p.reads) / txns,
              static_cast<double>(p.writes) / txns, f.reads_per_txn,
-             f.writes_per_txn, static_cast<unsigned long long>(p.pages),
+             f.writes_per_txn, static_cast<unsigned long long>(p.pages), fill,
              static_cast<unsigned long long>(f.pages));
     }
   }

@@ -14,15 +14,7 @@ namespace noftl::index {
 
 using buffer::PageKey;
 
-// Node byte layout:
-//   0  u16 magic
-//   2  u16 flags (bit 0: leaf)
-//   4  u16 count
-//   6  u16 pad
-//   8  u64 next_leaf + 1 (0 = none; leaves only)
-//  16  u64 leftmost child page (internal only)
-//  24  u64 reserved
-//  32  entries[count]: { u64 key_hi, u64 key_lo, u64 value_or_child }
+// Page-buffer view of a node; btree.h has the byte layout.
 struct BTree::Node {
   char* data;
   uint32_t page_size;
@@ -30,6 +22,8 @@ struct BTree::Node {
   bool IsLeaf() const { return (DecodeFixed16(data + 2) & 1) != 0; }
   uint16_t Count() const { return DecodeFixed16(data + 4); }
   void SetCount(uint16_t n) { EncodeFixed16(data + 4, n); }
+  uint16_t Hint() const { return DecodeFixed16(data + 6); }
+  void SetHint(uint16_t pos) { EncodeFixed16(data + 6, pos); }
   uint64_t NextLeaf() const { return DecodeFixed64(data + 8); }  // +1 encoded
   void SetNextLeaf(uint64_t page_plus1) { EncodeFixed64(data + 8, page_plus1); }
   uint64_t LeftChild() const { return DecodeFixed64(data + 16); }
@@ -206,12 +200,13 @@ Status BTree::Insert(txn::TxnContext* ctx, Key128 key, uint64_t value) {
 
   if (leaf.Count() < MaxEntries()) {
     leaf.InsertAt(pos, key, value);
+    leaf.SetHint(static_cast<uint16_t>(pos + 1));
     pool_->Unfix(*h, /*dirty=*/true);
     entry_count_++;
     return Status::OK();
   }
 
-  // Split the leaf: upper half moves to a new right sibling.
+  // Split the leaf: the entries from `split` on move to a new right sibling.
   auto right_page = NewNodePage(ctx, /*leaf=*/true);
   if (!right_page.ok()) {
     pool_->Unfix(*h, /*dirty=*/false);
@@ -225,8 +220,12 @@ Status BTree::Insert(txn::TxnContext* ctx, Key128 key, uint64_t value) {
   }
   Node right{rh->data, tablespace_->page_size()};
 
+  // An insert that continues the leaf's last one splits at the insertion
+  // point, so a run leaves full leaves behind it; any other splits in the
+  // middle.
   const uint32_t total = leaf.Count();
-  const uint32_t split = total / 2;
+  const bool sequential = pos > 0 && pos == leaf.Hint();
+  const uint32_t split = sequential ? pos : total / 2;
   for (uint32_t i = split; i < total; i++) {
     right.InsertAt(i - split, leaf.KeyAt(i), leaf.ValueAt(i));
   }
@@ -234,13 +233,16 @@ Status BTree::Insert(txn::TxnContext* ctx, Key128 key, uint64_t value) {
   right.SetNextLeaf(leaf.NextLeaf());
   leaf.SetNextLeaf(*right_page + 1);
 
-  // Place the new entry in the correct half.
+  // Place the new entry in its half, which keeps the hint; the other half's
+  // is cleared. A run that reached the end of the leaf starts the right one.
+  const bool to_left = right.Count() > 0 && key < right.KeyAt(0);
+  Node& home = to_left ? leaf : right;
+  Node& other = to_left ? right : leaf;
+  const uint32_t at = home.LowerBound(key);
+  home.InsertAt(at, key, value);
+  home.SetHint(static_cast<uint16_t>(at + 1));
+  other.SetHint(0);
   const Key128 sep = right.KeyAt(0);
-  if (key < sep) {
-    leaf.InsertAt(leaf.LowerBound(key), key, value);
-  } else {
-    right.InsertAt(right.LowerBound(key), key, value);
-  }
   pool_->Unfix(*h, /*dirty=*/true);
   pool_->Unfix(*rh, /*dirty=*/true);
   entry_count_++;
@@ -358,6 +360,7 @@ Status BTree::Delete(txn::TxnContext* ctx, Key128 key) {
     return Status::NotFound("key absent");
   }
   leaf.RemoveAt(pos);
+  leaf.SetHint(0);
   const bool emptied = leaf.Count() == 0;
   const uint64_t next = leaf.NextLeaf();
   pool_->Unfix(*h, /*dirty=*/true);
@@ -580,7 +583,7 @@ Status BTree::ScanRange(txn::TxnContext* ctx, Key128 from, Key128 to,
   return scan.ok() ? drain : scan;
 }
 
-Status BTree::Validate(txn::TxnContext* ctx) {
+Status BTree::Validate(txn::TxnContext* ctx, uint64_t* leaf_count) {
   ReaderLock lock(latch_);
   const uint32_t ts = tablespace_->tablespace_id();
   const std::unordered_set<uint64_t> owned(pages_.begin(), pages_.end());
@@ -683,6 +686,7 @@ Status BTree::Validate(txn::TxnContext* ctx) {
     }
     page_no = next - 1;
   }
+  if (leaf_count != nullptr) *leaf_count = leaves.size();
   return Status::OK();
 }
 

@@ -8,6 +8,18 @@
 // every stored key is unique and equal-`hi` ranges enumerate duplicates in
 // insertion-independent order.
 //
+// Leaf splits follow the insert direction (InnoDB's
+// btr_page_get_split_rec_to_right heuristic). Each leaf remembers where its
+// last insert went. A full leaf whose next insert lands right after that
+// entry is taking a run — the loader's key-ordered inserts, or NewOrder
+// appending within a district — and splits at the insertion point:
+// the left leaf keeps the entries before it plus the new key, the right
+// takes the rest, and a run at the leaf's end starts a right leaf holding
+// only the new key. A run therefore leaves full leaves behind it instead of
+// half-full ones. Every other full-leaf insert (random keys, a run's first
+// key, a descending run, which inserts at position 0) splits in the middle.
+// Internal nodes always split in the middle.
+//
 // Deletes free at empty (Johnson & Shasha, "B-trees with inserts and
 // deletes: why free-at-empty is better than merge-at-half"): a node is never
 // merged or rebalanced, but a leaf whose last entry goes is unlinked from the
@@ -113,8 +125,9 @@ class BTree {
   /// leaf but an empty tree's root is empty and the root has two or more
   /// children, that the leaf chain visits exactly the leaves descent reaches
   /// and in the same order, and that entry_count() and page_count() match
-  /// what is reachable.
-  Status Validate(txn::TxnContext* ctx);
+  /// what is reachable. When valid, `*leaf_count` (if given) is the number
+  /// of leaves.
+  Status Validate(txn::TxnContext* ctx, uint64_t* leaf_count = nullptr);
 
   /// Pages allocated to this index (every one reachable from the root).
   uint64_t page_count() const {
@@ -134,7 +147,19 @@ class BTree {
   BTree(uint32_t object_id, std::string name, storage::Tablespace* tablespace,
         buffer::BufferPool* pool);
 
-  // Node layout constants (see btree.cc for the byte layout).
+  // Node layout constants. Every node starts with a 32-byte header:
+  //   0  u16 magic
+  //   2  u16 flags (bit 0: leaf)
+  //   4  u16 count
+  //   6  u16 last-insert hint (leaves only): the position just after the
+  //          entry last inserted into this leaf, 0 = none. Every leaf insert
+  //          sets it; a split gives it to the half that took the new key
+  //          and clears the other's; a delete clears it.
+  //   8  u64 next_leaf + 1 (0 = none; leaves only)
+  //  16  u64 leftmost child page (internal only)
+  //  24  u64 reserved
+  // followed by entries[count] of { u64 key_hi, u64 key_lo, u64 value or
+  // child page }.
   static constexpr uint16_t kMagic = 0x4254;  // "BT"
   static constexpr uint32_t kHeaderSize = 32;
   static constexpr uint32_t kEntrySize = 24;

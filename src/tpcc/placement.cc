@@ -48,7 +48,8 @@ uint64_t PagesFor(uint64_t rows, uint64_t row_bytes, uint32_t page_size) {
 
 uint64_t IndexPagesFor(uint64_t entries, uint32_t page_size) {
   // B+-tree leaf: 32-byte header, 24-byte entries, ~67% fill after random
-  // inserts; inner nodes add ~1/fanout.
+  // inserts (key-ordered indexes fill their leaves; see the header); inner
+  // nodes add ~1/fanout.
   const uint64_t per_leaf =
       static_cast<uint64_t>(((page_size - 32) / 24) * 0.67);
   const uint64_t leaves = (entries + per_leaf - 1) / std::max<uint64_t>(1, per_leaf);
@@ -176,34 +177,34 @@ std::vector<ObjectFootprint> EstimateFootprints(const TpccScale& scale,
   // coalesce many rows into one page write between flushes. The read-only
   // probe indexes (S_IDX, I_IDX, C_IDX) and ITEM are read-hot.
   std::vector<ObjectFootprint> out = {
-      {"WAREHOUSE", PagesFor(w, sizeof(WarehouseRow), page_size), 0.0002,
+      {"WAREHOUSE", PagesFor(w, sizeof(WarehouseRow), page_size), 0.0001,
        0.0217},
       {"DISTRICT", PagesFor(d, sizeof(DistrictRow), page_size), 0.0000,
        0.0217},
-      {"CUSTOMER", PagesFor(c, sizeof(CustomerRow), page_size), 4.2367,
+      {"CUSTOMER", PagesFor(c, sizeof(CustomerRow), page_size), 4.1820,
        0.8221},
-      {"HISTORY", PagesFor(hist, sizeof(HistoryRow), page_size), 0.0010,
-       0.0281},
+      {"HISTORY", PagesFor(hist, sizeof(HistoryRow), page_size), 0.0005,
+       0.0280},
       {"NEW_ORDER", PagesFor(new0 + expected_new_orders / 10,
-                             sizeof(NewOrderRow), page_size), 0.1962, 0.2611},
-      {"ORDER", PagesFor(orders, sizeof(OrderRow), page_size), 0.1572,
-       0.1941},
-      {"ORDERLINE", PagesFor(ol, sizeof(OrderLineRow), page_size), 0.9174,
-       0.4721},
+                             sizeof(NewOrderRow), page_size), 0.1913, 0.2639},
+      {"ORDER", PagesFor(orders, sizeof(OrderRow), page_size), 0.1502,
+       0.1932},
+      {"ORDERLINE", PagesFor(ol, sizeof(OrderLineRow), page_size), 0.8817,
+       0.4732},
       {"ITEM", PagesFor(w ? scale.items : 0, sizeof(ItemRow), page_size),
-       3.7985, 0.0000},
-      {"STOCK", PagesFor(stock, sizeof(StockRow), page_size), 9.5622, 4.1002},
-      {"W_IDX", IndexPagesFor(w, page_size), 0.0016, 0.0000},
-      {"D_IDX", IndexPagesFor(d, page_size), 0.0004, 0.0000},
-      {"C_IDX", IndexPagesFor(c, page_size), 0.9678, 0.0000},
-      {"C_NAME_IDX", IndexPagesFor(c, page_size), 0.3612, 0.0000},
-      {"I_IDX", IndexPagesFor(scale.items, page_size), 3.5599, 0.0000},
-      {"S_IDX", IndexPagesFor(stock, page_size), 6.9829, 0.0000},
+       3.7360, 0.0000},
+      {"STOCK", PagesFor(stock, sizeof(StockRow), page_size), 9.3567, 4.1115},
+      {"W_IDX", IndexPagesFor(w, page_size), 0.0007, 0.0000},
+      {"D_IDX", IndexPagesFor(d, page_size), 0.0001, 0.0000},
+      {"C_IDX", IndexPagesFor(c, page_size), 0.8455, 0.0000},
+      {"C_NAME_IDX", IndexPagesFor(c, page_size), 0.3498, 0.0000},
+      {"I_IDX", IndexPagesFor(scale.items, page_size), 2.9278, 0.0000},
+      {"S_IDX", IndexPagesFor(stock, page_size), 5.0520, 0.0000},
       {"NO_IDX", IndexPagesFor(new0 + expected_new_orders / 10, page_size),
-       2.8610, 0.3907},
-      {"O_IDX", IndexPagesFor(orders, page_size), 0.4478, 0.2001},
-      {"O_CUST_IDX", IndexPagesFor(orders, page_size), 0.5667, 0.4409},
-      {"OL_IDX", IndexPagesFor(ol, page_size), 0.8565, 0.2913},
+       1.6196, 0.3835},
+      {"O_IDX", IndexPagesFor(orders, page_size), 0.3246, 0.1928},
+      {"O_CUST_IDX", IndexPagesFor(orders, page_size), 0.5463, 0.4416},
+      {"OL_IDX", IndexPagesFor(ol, page_size), 0.6914, 0.2383},
       {"DBMS_METADATA", 4, 0.0000, 0.0000},
   };
   cache.emplace(key, out);

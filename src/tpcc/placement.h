@@ -64,10 +64,13 @@ const std::vector<std::string>& AllTpccObjects();
 /// `bench_figure2_placement profile=1 warmup=50000 txns=150000` whenever
 /// access patterns change; ProfileDriftTest guards them.
 ///
-/// Index sizes come from a uniform-insert fill model, which underestimates
-/// indexes with monotone keys: OL_IDX ends the Figure 3 run at about 14.3k
-/// pages against the 10.7k estimated. The model is left as it is on purpose:
-/// SuggestBlocksPerDie sizes every benchmark device from these pages.
+/// Index sizes come from a random-insert fill model (67% full leaves). It
+/// overestimates the key-ordered indexes, whose leaves a run of inserts
+/// fills (see BTree's split policy): at the end of the Figure 3 run I_IDX
+/// holds 599 pages against 894 estimated and OL_IDX about 7.2k against
+/// 10.7k, while the random-insert C_NAME_IDX and O_CUST_IDX match it. The
+/// model is left as it is on purpose: SuggestBlocksPerDie sizes every
+/// benchmark device from these pages.
 struct ObjectFootprint {
   std::string object;
   uint64_t pages;         ///< estimated size incl. growth

@@ -36,6 +36,9 @@ std::vector<ObjectProfile> CollectProfile(TpccDb* db) {
   for (const auto& object : AllTpccObjects()) {
     ObjectProfile p;
     p.object = object;
+    if (index::BTree* idx = database->GetIndex(object)) {
+      p.entries = idx->entry_count();
+    }
     out.push_back(p);
   }
   auto find = [&](const std::string& name) -> ObjectProfile* {

@@ -20,9 +20,10 @@ namespace noftl::tpcc {
 
 struct ObjectProfile {
   std::string object;
-  uint64_t pages = 0;   ///< currently allocated pages
-  uint64_t reads = 0;   ///< page reads during the profiled run
-  uint64_t writes = 0;  ///< page writes during the profiled run
+  uint64_t pages = 0;    ///< currently allocated pages
+  uint64_t entries = 0;  ///< index entries (0 for a table)
+  uint64_t reads = 0;    ///< page reads during the profiled run
+  uint64_t writes = 0;   ///< page writes during the profiled run
 };
 
 /// Snapshot the per-object profile of a loaded (and ideally already-run)

@@ -1,8 +1,14 @@
 // B+-tree tests: point ops, splits across multiple levels, ordered and
 // range scans, free-at-empty deletes (queue churn, cold first-key scans,
 // draining to empty, snapshots over freed pages, frees racing a pending
-// leaf fetch), structural validation, and parameterized property tests
-// against std::map for several insertion patterns.
+// leaf fetch), the leaf split policy (leaf fill under ascending,
+// interleaved-ascending, random and descending inserts), structural
+// validation, and parameterized property tests against std::map for several
+// insertion patterns.
+//
+// Fixtures that need a known tree shape build it from ascending inserts,
+// which fill every leaf (LeafWidth keys each), and place probe keys by that
+// width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -264,6 +270,13 @@ void MakeCold(NativeStack* s) {
   }
 }
 
+/// Entries in a full leaf of `ts`: a 32-byte node header, 24-byte entries.
+/// Ascending inserts fill every leaf, so leaf i holds keys
+/// [i * width, (i + 1) * width).
+uint64_t LeafWidth(const storage::Tablespace& ts) {
+  return (ts.page_size() - 32) / 24;
+}
+
 TEST(BTreeLeafFetchTest, MatchesLookupAcrossLeavesAndForAbsentKeys) {
   NativeStack s(WideStack(/*frames=*/64));
   std::unique_ptr<BTree> tree(
@@ -325,8 +338,10 @@ TEST(BTreeLeafFetchTest, ColdProbesWaitForOneReadNotOnePerKey) {
   NativeStack s(WideStack(/*frames=*/64));
   std::unique_ptr<BTree> tree(
       *BTree::Create(3, "IDX", s.tablespace.get(), s.pool.get(), &s.ctx));
-  // Ascending inserts leave ten keys per leaf: leaf i holds 10i..10i+9.
-  for (uint64_t k = 0; k < 150; k++) {
+  // Ascending inserts fill fifteen leaves under the root.
+  const uint64_t width = LeafWidth(*s.tablespace);
+  const uint64_t n = 15 * width;
+  for (uint64_t k = 0; k < n; k++) {
     ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k).ok());
   }
   ASSERT_EQ(tree->height(), 2u);
@@ -335,14 +350,14 @@ TEST(BTreeLeafFetchTest, ColdProbesWaitForOneReadNotOnePerKey) {
   // A first probe makes the root resident; a second measures one read.
   ASSERT_TRUE(tree->Lookup(&s.ctx, {5, 0}).ok());
   SimTime before = s.ctx.now;
-  ASSERT_TRUE(tree->Lookup(&s.ctx, {145, 0}).ok());
+  ASSERT_TRUE(tree->Lookup(&s.ctx, {n - 5, 0}).ok());
   const SimTime one_read = s.ctx.now - before;
   ASSERT_GT(one_read, 0u);
 
   // k keys on k distinct cold leaves.
   constexpr uint64_t kProbes = 8;
   std::vector<Key128> keys;
-  for (uint64_t i = 1; i <= kProbes; i++) keys.push_back({10 * i + 5, 0});
+  for (uint64_t i = 1; i <= kProbes; i++) keys.push_back({width * i + 5, 0});
   before = s.ctx.now;
   const uint64_t reads_before = s.ctx.pages_read;
   buffer::FetchTicket ticket = 0;
@@ -607,7 +622,10 @@ TEST(BTreeFreeAtEmptyTest, FreeingALeafClaimedByAPendingFetch) {
   NativeStack s(WideStack(/*frames=*/64));
   std::unique_ptr<BTree> tree(
       *BTree::Create(3, "Q", s.tablespace.get(), s.pool.get(), &s.ctx));
-  for (uint64_t k = 0; k < 150; k++) {
+  // Ascending inserts fill eight leaves.
+  const uint64_t width = LeafWidth(*s.tablespace);
+  const uint64_t n = 8 * width;
+  for (uint64_t k = 0; k < n; k++) {
     ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k).ok());
   }
   MakeCold(&s);
@@ -617,23 +635,24 @@ TEST(BTreeFreeAtEmptyTest, FreeingALeafClaimedByAPendingFetch) {
   txn::TxnContext prober;
   prober.now = s.ctx.now;
   buffer::FetchTicket ticket = 0;
-  ASSERT_TRUE(tree->SubmitLeafFetch(&prober, {{0, 0}, {15, 0}}, &ticket).ok());
+  ASSERT_TRUE(tree->SubmitLeafFetch(&prober, {{0, 0}, {width + 5, 0}},
+                                    &ticket).ok());
   ASSERT_NE(ticket, 0u);
   const uint64_t pages = tree->page_count();
-  for (uint64_t k = 0; k < 10; k++) {
+  for (uint64_t k = 0; k < width; k++) {
     ASSERT_TRUE(tree->Delete(&s.ctx, {k, 0}).ok()) << k;
   }
   EXPECT_EQ(tree->page_count(), pages - 1);
   ASSERT_TRUE(s.pool->WaitFetch(&prober, ticket).ok());
   EXPECT_GT(prober.pages_read, 0u);  // the owner is still charged its reads
   EXPECT_TRUE(tree->Lookup(&prober, {5, 0}).status().IsNotFound());
-  EXPECT_EQ(*tree->Lookup(&prober, {15, 0}), 15u);
+  EXPECT_EQ(*tree->Lookup(&prober, {width + 5, 0}), width + 5);
   ASSERT_TRUE(s.pool->VerifyIntegrity().ok());
   ASSERT_TRUE(tree->Validate(&s.ctx).ok());
 
-  // The freed page is reused by the next split.
+  // The freed page is reused by the next split: the last leaf is full.
   const uint64_t high_water = s.tablespace->page_count();
-  for (uint64_t k = 150; k < 160; k++) {
+  for (uint64_t k = n; k < n + width / 2; k++) {
     ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k).ok());
   }
   EXPECT_EQ(s.tablespace->page_count(), high_water);
@@ -661,8 +680,11 @@ TEST(BTreeFreeAtEmptyTest, SnapshotReadsLeavesFreedAndReusedAfterIt) {
   BTree* tree = *created;
   storage::Tablespace* ts = (*db)->GetTablespace("ts");
   txn::TxnContext ctx;
-  // Ascending inserts: ten keys per leaf, three inner nodes under the root.
-  for (uint64_t k = 0; k < 300; k++) {
+  // Ascending inserts: thirty full leaves under two inner nodes (11 and 19
+  // leaves) and the root.
+  const uint64_t width = LeafWidth(*ts);
+  const uint64_t n = 30 * width;
+  for (uint64_t k = 0; k < n; k++) {
     ASSERT_TRUE(tree->Insert(&ctx, {k, 0}, k).ok());
   }
   ASSERT_EQ(tree->height(), 3u);
@@ -670,15 +692,15 @@ TEST(BTreeFreeAtEmptyTest, SnapshotReadsLeavesFreedAndReusedAfterIt) {
   auto snap = (*db)->OpenSnapshot(&ctx);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
-  // Free the first hundred keys' leaves (and their inner node), then let
-  // new keys split into the freed pages; push everything to flash.
+  // Free the first ten leaves (the first inner node keeps its eleventh),
+  // then let new keys split into the freed pages; push everything to flash.
   const uint64_t pages = tree->page_count();
-  for (uint64_t k = 0; k < 100; k++) {
+  for (uint64_t k = 0; k < 10 * width; k++) {
     ASSERT_TRUE(tree->Delete(&ctx, {k, 0}).ok());
   }
   ASSERT_LT(tree->page_count(), pages - 9);
   const uint64_t high_water = ts->page_count();
-  for (uint64_t k = 1000; k < 1060; k++) {
+  for (uint64_t k = 1000; k < 1000 + 6 * width; k++) {
     ASSERT_TRUE(tree->Insert(&ctx, {k, 0}, k).ok());
   }
   ASSERT_EQ(ts->page_count(), high_water);  // every new node reused a page
@@ -697,12 +719,105 @@ TEST(BTreeFreeAtEmptyTest, SnapshotReadsLeavesFreedAndReusedAfterIt) {
                                expect++;
                                return true;
                              }).ok());
-  EXPECT_EQ(expect, 300u);  // exactly the entries as of the snapshot
+  EXPECT_EQ(expect, n);  // exactly the entries as of the snapshot
   EXPECT_EQ(*tree->Lookup(&snap_ctx, {5, 0}), 5u);
   EXPECT_TRUE(tree->Lookup(&snap_ctx, {1005, 0}).status().IsNotFound());
   EXPECT_TRUE(tree->Lookup(&ctx, {5, 0}).status().IsNotFound());
   EXPECT_EQ(*tree->Lookup(&ctx, {1005, 0}), 1005u);
   (*db)->ReleaseSnapshot(*snap);
+}
+
+// --- Leaf split policy ------------------------------------------------
+
+/// Leaf fill of a valid tree: entries over the capacity of its leaves.
+double LeafFill(BTree* tree, NativeStack* s) {
+  uint64_t leaves = 0;
+  Status v = tree->Validate(&s->ctx, &leaves);
+  EXPECT_TRUE(v.ok()) << v.ToString();
+  if (!v.ok() || leaves == 0) return 0;
+  return static_cast<double>(tree->entry_count()) /
+         static_cast<double>(leaves * LeafWidth(*s->tablespace));
+}
+
+TEST(BTreeSplitTest, AscendingInsertsFillEveryLeaf) {
+  NativeStack s(BigStack());
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "A", s.tablespace.get(), s.pool.get(), &s.ctx));
+  const uint64_t width = LeafWidth(*s.tablespace);
+  constexpr uint64_t kKeys = 2000;
+  for (uint64_t k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k).ok());
+  }
+  uint64_t leaves = 0;
+  ASSERT_TRUE(tree->Validate(&s.ctx, &leaves).ok());
+  EXPECT_LE(leaves, (kKeys + width - 1) / width + 1);
+}
+
+TEST(BTreeSplitTest, InterleavedAscendingGroupsFillLeaves) {
+  // NewOrder's pattern: ten districts, each appending to its own key range,
+  // taking turns.
+  NativeStack s(BigStack());
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "G", s.tablespace.get(), s.pool.get(), &s.ctx));
+  for (uint64_t seq = 0; seq < 600; seq++) {
+    for (uint64_t group = 0; group < 10; group++) {
+      ASSERT_TRUE(tree->Insert(&s.ctx, {group, seq}, seq).ok());
+    }
+  }
+  EXPECT_GE(LeafFill(tree.get(), &s), 0.90);
+}
+
+TEST(BTreeSplitTest, RandomInsertsKeepTheMiddleSplitFill) {
+  NativeStack s(BigStack());
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "R", s.tablespace.get(), s.pool.get(), &s.ctx));
+  Rng rng(11);
+  for (int i = 0; i < 6000; i++) {
+    const Key128 key{rng.Below(1u << 30), 0};
+    Status st = tree->Insert(&s.ctx, key, key.hi);
+    ASSERT_TRUE(st.ok() || st.IsAlreadyExists()) << st.ToString();
+  }
+  const double fill = LeafFill(tree.get(), &s);
+  EXPECT_GE(fill, 0.60);
+  EXPECT_LE(fill, 0.80);
+}
+
+TEST(BTreeSplitTest, DescendingInsertsSplitInTheMiddle) {
+  NativeStack s(BigStack());
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "D", s.tablespace.get(), s.pool.get(), &s.ctx));
+  for (uint64_t k = 2000; k > 0; k--) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {k, 0}, k).ok());
+  }
+  EXPECT_GE(LeafFill(tree.get(), &s), 0.45);
+}
+
+TEST(BTreeSplitTest, DeleteEndsTheRun) {
+  NativeStack s(BigStack());
+  std::unique_ptr<BTree> tree(
+      *BTree::Create(3, "X", s.tablespace.get(), s.pool.get(), &s.ctx));
+  const uint64_t width = LeafWidth(*s.tablespace);
+  // A run fills the root leaf: its hint is `width`, just past the last key.
+  for (uint64_t k = 0; k < width; k++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {2 * k, 0}, k).ok());
+  }
+  // A delete in the full leaf, and a re-insert that fills it again.
+  ASSERT_TRUE(tree->Delete(&s.ctx, {2, 0}).ok());
+  ASSERT_TRUE(tree->Insert(&s.ctx, {3, 0}, 3).ok());
+  // The next key goes where the run would have continued; the leaf splits
+  // in the middle, not at the insertion point.
+  ASSERT_TRUE(tree->Insert(&s.ctx, {2 * width, 0}, width).ok());
+  ASSERT_EQ(tree->height(), 2u);
+  uint64_t leaves = 0;
+  ASSERT_TRUE(tree->Validate(&s.ctx, &leaves).ok());
+  ASSERT_EQ(leaves, 2u);
+  // The left half has room: filling its gaps splits nothing.
+  const uint64_t pages = tree->page_count();
+  for (uint64_t k = 0; k < width / 2 - 1; k++) {
+    ASSERT_TRUE(tree->Insert(&s.ctx, {2 * k, 1}, k).ok());
+  }
+  EXPECT_EQ(tree->page_count(), pages);
+  EXPECT_TRUE(tree->Validate(&s.ctx).ok());
 }
 
 // --- Parameterized property tests -------------------------------------

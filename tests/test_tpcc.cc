@@ -520,6 +520,36 @@ TEST_F(TpccTxnTest, NewOrderAdvancesDistrictSequence) {
 
 // --- Driver ----------------------------------------------------------
 
+// The loader inserts every index in key order and NewOrder appends within
+// each district, so the key-ordered indexes keep full leaves: each holds at
+// least 90% of a full leaf's entries per page (inner nodes included), on one
+// full-scale warehouse.
+TEST(TpccIndexFillTest, KeyOrderedIndexesKeepLeavesFull) {
+  TpccDbOptions options;  // default device: 64 dies, 4 KiB pages
+  options.scale.warehouses = 1;
+  options.placement =
+      TraditionalPlacement(options.db.geometry.total_dies());
+  auto db = TpccDb::CreateAndLoad(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  TpccTransactions txns(db->get(), (*db)->rng(), (*db)->nurand());
+  txn::TxnContext ctx;
+  ctx.now = (*db)->load_end_time();
+  for (int i = 0; i < 300; i++) {
+    bool committed = false;
+    ASSERT_TRUE(txns.NewOrder(&ctx, 1, &committed).ok());
+  }
+
+  const double full_leaf = (options.db.geometry.page_size - 32) / 24;
+  for (index::BTree* idx :
+       {(*db)->i_idx, (*db)->s_idx, (*db)->c_idx, (*db)->ol_idx}) {
+    Status v = idx->Validate(&ctx);
+    ASSERT_TRUE(v.ok()) << idx->name() << ": " << v.ToString();
+    const double per_page = static_cast<double>(idx->entry_count()) /
+                            static_cast<double>(idx->page_count());
+    EXPECT_GE(per_page, 0.9 * full_leaf) << idx->name();
+  }
+}
+
 TEST(PlacementTest, FootprintEstimatesAreMemoized) {
   TpccScale scale;
   scale.warehouses = 13;  // parameters no other test uses: guaranteed cold

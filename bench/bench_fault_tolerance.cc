@@ -144,7 +144,6 @@ FaultPoint RunAt(const Flags& flags, double rate) {
   faults.read_transient_rate = rate;
   faults.read_disturb_limit = flags.GetInt("disturb_limit", 400);
   faults.read_disturb_rate = 1.0;
-  faults.per_die_streams = true;
   faults.seed = flags.GetInt("seed", 42) * 0x9e3779b9ull + 1;
   (*db)->database()->ForEachDevice(
       [&](flash::FlashDevice* dev) { dev->SetFaults(faults); });
@@ -155,7 +154,6 @@ FaultPoint RunAt(const Flags& flags, double rate) {
   driver_options.warmup_transactions = warmup;
   driver_options.seed = flags.GetInt("seed", 42) + 1;
   driver_options.batched_io = true;
-  driver_options.per_terminal_streams = true;
   driver_options.txn_retry_limit =
       static_cast<uint32_t>(flags.GetInt("txn_retry_limit", 5));
   tpcc::TpccDriver driver(db->get(), driver_options);

@@ -306,9 +306,6 @@ TpccPoint RunTpccPoint(const Flags& flags, const std::string& label,
   driver_options.max_transactions = config.transactions;
   driver_options.warmup_transactions = config.warmup;
   driver_options.seed = config.seed + 1;
-  // Private per-terminal streams: both runs execute the identical logical
-  // workload, so the cross-run digest comparison is exact.
-  driver_options.per_terminal_streams = true;
   driver_options.snapshot_stocklevel = snapshot_stocklevel;
   tpcc::TpccDriver driver(db->get(), driver_options);
   auto report = driver.Run();

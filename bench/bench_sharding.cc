@@ -449,10 +449,6 @@ TpccPoint RunTpccAt(const Flags& flags, uint64_t shards) {
   driver_options.warmup_transactions = warmup;
   driver_options.seed = flags.GetInt("seed", 42) + 1;
   driver_options.batched_io = true;
-  // Private per-terminal streams + fixed per-terminal quotas: the committed
-  // logical work is identical no matter how the shard count skews the
-  // terminals' interleaving, so the cross-configuration digest is exact.
-  driver_options.per_terminal_streams = true;
   tpcc::TpccDriver driver(db->get(), driver_options);
   auto report = driver.Run();
   if (!report.ok()) {

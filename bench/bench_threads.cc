@@ -143,7 +143,6 @@ ThreadPoint RunAt(const Flags& flags, uint32_t workers) {
   driver_options.warmup_transactions = warmup;
   driver_options.seed = flags.GetInt("seed", 42) + 1;
   driver_options.batched_io = true;
-  driver_options.per_terminal_streams = true;
   driver_options.worker_threads = workers;
   // Closed-loop device-latency pacing: each worker blocks for its
   // transaction's simulated time x pace, so wall-clock throughput measures

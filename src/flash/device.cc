@@ -24,7 +24,6 @@ FlashDevice::FlashDevice(const FlashGeometry& geometry, const FlashTiming& timin
 void FlashDevice::SetFaults(const FaultOptions& faults) {
   MutexLock lock(mu_);
   faults_ = faults;
-  fault_rng_state_ = faults.seed | 1;
   die_fault_rng_.assign(geometry_.total_dies(), 0);
   for (DieId die = 0; die < geometry_.total_dies(); die++) {
     // splitmix-style per-die derivation, like the driver's per-terminal
@@ -39,8 +38,8 @@ void FlashDevice::SetFaults(const FaultOptions& faults) {
 
 bool FlashDevice::InjectFault(DieId die, double rate) {
   if (rate <= 0.0) return false;
-  // xorshift64* — one stream per device, or per die when opted in.
-  uint64_t& s = faults_.per_die_streams ? die_fault_rng_[die] : fault_rng_state_;
+  // xorshift64* over the die's own stream.
+  uint64_t& s = die_fault_rng_[die];
   s ^= s >> 12;
   s ^= s << 25;
   s ^= s >> 27;

@@ -83,13 +83,11 @@ struct FaultOptions {
   /// it degrades further. 0 disables the disturb model.
   uint64_t read_disturb_limit = 0;
   double read_disturb_rate = 1.0;
-  /// Draw faults from an independent stream per die (derived from `seed`)
-  /// instead of one device-wide stream. A die's fault schedule then depends
-  /// only on the sequence of ops *that die* services, so it is invariant
-  /// across batch interleavings and shard layouts that reorder ops between
-  /// dies — required for cross-configuration equivalence digests to hold
-  /// under faults. Off keeps the legacy device-wide stream.
-  bool per_die_streams = false;
+  /// Faults are drawn from an independent stream per die, derived from
+  /// `seed`. A die's fault schedule then depends only on the sequence of ops
+  /// *that die* services, so it is invariant across batch interleavings and
+  /// shard layouts that reorder ops between dies — required for
+  /// cross-configuration equivalence digests to hold under faults.
   uint64_t seed = 0x5eed;
 };
 
@@ -442,8 +440,7 @@ class FlashDevice {
   FlashStats stats_;
   FaultOptions faults_ GUARDED_BY(mu_);
   uint64_t mutation_seq_ GUARDED_BY(mu_) = 0;
-  uint64_t fault_rng_state_ GUARDED_BY(mu_) = 0;
-  /// Per-die streams (opt-in).
+  /// One xorshift fault stream per die.
   std::vector<uint64_t> die_fault_rng_ GUARDED_BY(mu_);
   RelaxedCounter program_failures_ = 0;
   RelaxedCounter erase_failures_ = 0;

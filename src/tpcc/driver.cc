@@ -131,6 +131,190 @@ void FillDeviceReport(db::Database* dbase, const DeviceTotals& base,
   report->max_erase = max_erase;
   report->avg_erase = devices ? avg_sum / static_cast<double>(devices) : 0;
 }
+
+/// One terminal: home warehouse, Stock-Level district, card deck and a
+/// private rng/NURand stream (same NURand C constants as the loader) behind
+/// its own transactions object. With private streams and fixed quotas the
+/// executed workload does not depend on how terminals interleave.
+struct Terminal {
+  txn::TxnContext ctx;
+  int32_t home_w = 0;
+  int32_t stock_d = 0;
+  std::vector<TxnType> deck;
+  size_t deck_pos = 0;
+  uint64_t left = 0;  ///< transactions still to run in the current phase
+  std::unique_ptr<Rng> rng;
+  std::unique_ptr<NURand> nurand;
+  std::unique_ptr<TpccTransactions> txns;
+};
+
+std::vector<Terminal> MakeTerminals(TpccDb* db, const DriverOptions& options) {
+  const TpccScale& scale = db->scale();
+  std::vector<Terminal> terminals(options.terminals);
+  for (uint32_t i = 0; i < options.terminals; i++) {
+    Terminal& t = terminals[i];
+    t.ctx.now = db->load_end_time();
+    t.home_w = static_cast<int32_t>(i % scale.warehouses) + 1;
+    t.stock_d = static_cast<int32_t>(i % scale.districts_per_warehouse) + 1;
+    t.deck = MakeDeck();
+    t.deck_pos = t.deck.size();  // the first draw shuffles
+    t.rng = std::make_unique<Rng>(options.seed * 1000003ull + i);
+    t.nurand = std::make_unique<NURand>(t.rng.get(), *db->nurand());
+    t.txns =
+        std::make_unique<TpccTransactions>(db, t.rng.get(), t.nurand.get());
+    t.txns->SetBatchedIo(options.batched_io);
+  }
+  return terminals;
+}
+
+/// Every terminal runs this many transactions, warmup included: the run
+/// length is (warmup + max) rounded up to whole per-terminal quotas.
+uint64_t TerminalQuota(const DriverOptions& options) {
+  return (options.warmup_transactions + options.max_transactions +
+          options.terminals - 1) /
+         options.terminals;
+}
+
+double PerSecond(uint64_t count, uint64_t elapsed_us) {
+  return elapsed_us ? static_cast<double>(count) /
+                          (static_cast<double>(elapsed_us) / 1e6)
+                    : 0;
+}
+
+/// Outcomes and latencies of executed transactions: one for the
+/// deterministic loop, one per worker thread, merged into the report.
+struct Tally {
+  uint64_t transactions = 0;
+  uint64_t rollbacks = 0;
+  uint64_t txn_retries = 0;
+  uint64_t txn_giveups = 0;
+  Histogram response_us[kNumTxnTypes];
+  Histogram response_gc_active_us;
+  Histogram response_idle_us;
+  Histogram response_snapshot_us;
+  Histogram response_latest_scan_us;
+
+  void MergeInto(DriverReport* report) const {
+    report->transactions += transactions;
+    report->rollbacks += rollbacks;
+    report->txn_retries += txn_retries;
+    report->txn_giveups += txn_giveups;
+    for (int ty = 0; ty < kNumTxnTypes; ty++) {
+      report->response_us[ty].Merge(response_us[ty]);
+    }
+    report->response_gc_active_us.Merge(response_gc_active_us);
+    report->response_idle_us.Merge(response_idle_us);
+    report->response_snapshot_us.Merge(response_snapshot_us);
+    report->response_latest_scan_us.Merge(response_latest_scan_us);
+  }
+};
+
+/// The driver step: run terminal `t`'s next transaction from its deck,
+/// starting at `when`, and record it into `tally`. Returns a non-transient
+/// error, which ends the run.
+Status RunStep(TpccDb* db, const DriverOptions& options, Terminal* t,
+               SimTime when, Tally* tally) {
+  if (t->deck_pos == t->deck.size()) {
+    for (size_t k = t->deck.size(); k > 1; k--) {
+      std::swap(t->deck[k - 1], t->deck[t->rng->Below(k)]);
+    }
+    t->deck_pos = 0;
+  }
+  const TxnType type = t->deck[t->deck_pos++];
+
+  // Run-time growth (new order/order-line/history extents) keeps following
+  // the terminal's home warehouse under by-key shard placement. The hint is
+  // thread-local, so each worker pins its own terminal's warehouse.
+  db->database()->SetShardPlacementHint(static_cast<uint64_t>(t->home_w));
+  // GC-overlap sample. Under worker threads it is racy (another worker's GC
+  // window can bleed in), which only errs toward the GC-active bucket —
+  // conservative for the tail gates.
+  const uint64_t gc_before = GcOpsTotal(db->database());
+  t->ctx.Begin(when);
+  bool committed = true;
+  bool ran_on_snapshot = false;
+  uint32_t attempt = 0;
+  for (;;) {
+    Status s;
+    committed = true;
+    switch (type) {
+      case TxnType::kNewOrder:
+        s = t->txns->NewOrder(&t->ctx, t->home_w, &committed);
+        break;
+      case TxnType::kPayment:
+        s = t->txns->Payment(&t->ctx, t->home_w);
+        break;
+      case TxnType::kOrderStatus:
+        s = t->txns->OrderStatus(&t->ctx, t->home_w);
+        break;
+      case TxnType::kDelivery:
+        s = t->txns->Delivery(&t->ctx, t->home_w);
+        break;
+      case TxnType::kStockLevel: {
+        // Snapshot mode: pin a version horizon for the scan (best
+        // effort — the FTL backend or a failed flush falls back to
+        // latest reads). The open's flush cost is charged to the scan;
+        // other terminals keep superseding pages while it reads the
+        // pinned versions the mappers retain for it.
+        uint64_t snap = 0;
+        if (options.snapshot_stocklevel) {
+          auto opened = db->database()->OpenSnapshot(&t->ctx);
+          if (opened.ok()) {
+            snap = *opened;
+            t->ctx.snapshot_seq = snap;
+            ran_on_snapshot = true;
+          }
+        }
+        s = t->txns->StockLevel(&t->ctx, t->home_w, t->stock_d);
+        if (snap != 0) {
+          t->ctx.snapshot_seq = 0;
+          db->database()->ReleaseSnapshot(snap);
+        }
+        break;
+      }
+    }
+    if (s.ok()) break;
+    // Abort-and-retry: IOError here means the storage stack itself gave
+    // up (the mapper's bounded read retries were exhausted); Busy means a
+    // contended resource. Both are transient at the workload level — back
+    // off on this terminal's clock and re-run. Anything else (corruption,
+    // DataLoss, programming errors) aborts the whole run.
+    if ((!s.IsIOError() && !s.IsBusy()) || options.txn_retry_limit == 0) {
+      return s;
+    }
+    if (attempt >= options.txn_retry_limit) {
+      tally->txn_giveups++;
+      committed = false;
+      break;
+    }
+    attempt++;
+    tally->txn_retries++;
+    t->ctx.Begin(t->ctx.now + options.txn_retry_backoff_us * attempt);
+  }
+
+  const SimTime response = t->ctx.ResponseTime();
+  tally->response_us[static_cast<int>(type)].Record(response);
+  const bool gc_overlap = GcOpsTotal(db->database()) != gc_before;
+  (gc_overlap ? tally->response_gc_active_us : tally->response_idle_us)
+      .Record(response);
+  if (type == TxnType::kStockLevel) {
+    (ran_on_snapshot ? tally->response_snapshot_us
+                     : tally->response_latest_scan_us)
+        .Record(response);
+  }
+  if (committed) {
+    tally->transactions++;
+  } else {
+    tally->rollbacks++;
+  }
+  return Status::OK();
+}
+
+/// Clears the calling thread's shard placement hint on every exit path.
+struct PlacementHintGuard {
+  db::Database* dbase;
+  ~PlacementHintGuard() { dbase->ClearShardPlacementHint(); }
+};
 }  // namespace
 
 std::string DriverReport::ToString() const {
@@ -179,59 +363,21 @@ TpccDriver::TpccDriver(TpccDb* db, const DriverOptions& options)
     : db_(db), options_(options) {}
 
 Result<DriverReport> TpccDriver::Run() {
+  const PlacementHintGuard clear_hint{db_->database()};
   if (options_.worker_threads > 0) return RunThreaded();
-  const TpccScale& scale = db_->scale();
-  Rng rng(options_.seed);
-  TpccTransactions txns(db_, db_->rng(), db_->nurand());
-  txns.SetBatchedIo(options_.batched_io);
-
-  struct Terminal {
-    txn::TxnContext ctx;
-    int32_t home_w;
-    int32_t stock_d;
-    std::vector<TxnType> deck;
-    size_t deck_pos = 0;
-    uint64_t executed = 0;
-    // per_terminal_streams: this terminal's private stream + transactions.
-    std::unique_ptr<Rng> rng;
-    std::unique_ptr<NURand> nurand;
-    std::unique_ptr<TpccTransactions> txns;
-  };
-  std::vector<Terminal> terminals(options_.terminals);
+  std::vector<Terminal> terminals = MakeTerminals(db_, options_);
   const SimTime start_time = db_->load_end_time();
-  // Per-terminal quota: with private streams every terminal executes exactly
-  // this many transactions, so the committed work is independent of how the
-  // terminals interleave on the simulated clock.
-  const uint64_t quota =
-      (options_.warmup_transactions + options_.max_transactions +
-       options_.terminals - 1) /
-      options_.terminals;
-  for (uint32_t i = 0; i < options_.terminals; i++) {
-    Terminal& t = terminals[i];
-    t.ctx.now = start_time;
-    t.home_w = static_cast<int32_t>(i % scale.warehouses) + 1;
-    t.stock_d =
-        static_cast<int32_t>(i % scale.districts_per_warehouse) + 1;
-    t.deck = MakeDeck();
-    if (options_.per_terminal_streams) {
-      t.rng = std::make_unique<Rng>(options_.seed * 1000003ull + i);
-      t.nurand = std::make_unique<NURand>(t.rng.get(), *db_->nurand());
-      t.txns = std::make_unique<TpccTransactions>(db_, t.rng.get(),
-                                                  t.nurand.get());
-      t.txns->SetBatchedIo(options_.batched_io);
-    }
-    Rng& shuffle_rng = options_.per_terminal_streams ? *t.rng : rng;
-    for (size_t k = t.deck.size(); k > 1; k--) {
-      std::swap(t.deck[k - 1], t.deck[shuffle_rng.Below(k)]);
-    }
-  }
+  const uint64_t quota = TerminalQuota(options_);
 
   // Event order: always run the terminal with the smallest local clock.
   using QEntry = std::pair<SimTime, uint32_t>;
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
-  for (uint32_t i = 0; i < options_.terminals; i++) queue.push({start_time, i});
+  for (uint32_t i = 0; i < options_.terminals && quota != 0; i++) {
+    terminals[i].left = quota;
+    queue.push({start_time, i});
+  }
 
-  DriverReport report;
+  Tally tally;
   DeviceTotals base = CollectDeviceTotals(db_->database());
   SchedTotals sched_base = CollectSchedTotals(db_->database());
 
@@ -239,13 +385,8 @@ Result<DriverReport> TpccDriver::Run() {
   bool measuring = options_.warmup_transactions == 0;
   SimTime measure_start = start_time;
   SimTime end_time = start_time;
-  // With private streams the run ends when every terminal exhausted its
-  // quota (the queue drains); otherwise after the global transaction count.
-  const uint64_t total_target =
-      options_.per_terminal_streams
-          ? quota * options_.terminals
-          : options_.warmup_transactions + options_.max_transactions;
-  while (!queue.empty() && total < total_target) {
+  // The run ends when every terminal has used up its quota.
+  while (!queue.empty()) {
     if (!measuring && total >= options_.warmup_transactions) {
       // Warmup done: discard everything recorded so far and restart the
       // measurement window at the current front of the event queue.
@@ -254,7 +395,7 @@ Result<DriverReport> TpccDriver::Run() {
       db_->database()->buffer()->ResetStats();
       base = DeviceTotals{};
       sched_base = CollectSchedTotals(db_->database());
-      report = DriverReport{};
+      tally = Tally{};
       measure_start = queue.top().first;
       end_time = measure_start;
     }
@@ -265,105 +406,10 @@ Result<DriverReport> TpccDriver::Run() {
     }
     queue.pop();
     Terminal& t = terminals[idx];
-
-    if (t.deck_pos == t.deck.size()) {
-      Rng& shuffle_rng = options_.per_terminal_streams ? *t.rng : rng;
-      for (size_t k = t.deck.size(); k > 1; k--) {
-        std::swap(t.deck[k - 1], t.deck[shuffle_rng.Below(k)]);
-      }
-      t.deck_pos = 0;
-    }
-    const TxnType type = t.deck[t.deck_pos++];
-    TpccTransactions& terminal_txns =
-        options_.per_terminal_streams ? *t.txns : txns;
-
-    // Run-time growth (new order/order-line/history extents) keeps following
-    // the terminal's home warehouse under by-key shard placement.
-    db_->database()->SetShardPlacementHint(static_cast<uint64_t>(t.home_w));
-    const uint64_t gc_before =
-        measuring ? GcOpsTotal(db_->database()) : 0;
-    t.ctx.Begin(when);
-    bool committed = true;
-    bool ran_on_snapshot = false;
-    Status s;
-    uint32_t attempt = 0;
-    for (;;) {
-      committed = true;
-      switch (type) {
-        case TxnType::kNewOrder:
-          s = terminal_txns.NewOrder(&t.ctx, t.home_w, &committed);
-          break;
-        case TxnType::kPayment:
-          s = terminal_txns.Payment(&t.ctx, t.home_w);
-          break;
-        case TxnType::kOrderStatus:
-          s = terminal_txns.OrderStatus(&t.ctx, t.home_w);
-          break;
-        case TxnType::kDelivery:
-          s = terminal_txns.Delivery(&t.ctx, t.home_w);
-          break;
-        case TxnType::kStockLevel: {
-          // Snapshot mode: pin a version horizon for the scan (best
-          // effort — the FTL backend or a failed flush falls back to
-          // latest reads). The open's flush cost is charged to the scan.
-          uint64_t snap = 0;
-          if (options_.snapshot_stocklevel) {
-            auto opened = db_->database()->OpenSnapshot(&t.ctx);
-            if (opened.ok()) {
-              snap = *opened;
-              t.ctx.snapshot_seq = snap;
-              ran_on_snapshot = true;
-            }
-          }
-          s = terminal_txns.StockLevel(&t.ctx, t.home_w, t.stock_d);
-          if (snap != 0) {
-            t.ctx.snapshot_seq = 0;
-            db_->database()->ReleaseSnapshot(snap);
-          }
-          break;
-        }
-      }
-      if (s.ok()) break;
-      // Abort-and-retry: IOError here means the storage stack itself gave
-      // up (the mapper's bounded read retries were exhausted); Busy means a
-      // contended resource. Both are transient at the workload level — back
-      // off on this terminal's clock and re-run. Anything else (corruption,
-      // DataLoss, programming errors) aborts the whole run.
-      if ((!s.IsIOError() && !s.IsBusy()) || options_.txn_retry_limit == 0) {
-        return s;
-      }
-      if (attempt >= options_.txn_retry_limit) {
-        if (measuring) report.txn_giveups++;
-        committed = false;
-        s = Status::OK();
-        break;
-      }
-      attempt++;
-      if (measuring) report.txn_retries++;
-      t.ctx.Begin(t.ctx.now + options_.txn_retry_backoff_us * attempt);
-    }
-    if (!s.ok()) return s;
-
-    if (measuring) {
-      report.response_us[static_cast<int>(type)].Record(t.ctx.ResponseTime());
-      const bool gc_overlap = GcOpsTotal(db_->database()) != gc_before;
-      (gc_overlap ? report.response_gc_active_us : report.response_idle_us)
-          .Record(t.ctx.ResponseTime());
-      if (type == TxnType::kStockLevel) {
-        (ran_on_snapshot ? report.response_snapshot_us
-                         : report.response_latest_scan_us)
-            .Record(t.ctx.ResponseTime());
-      }
-      if (committed) {
-        report.transactions++;
-      } else {
-        report.rollbacks++;
-      }
-      end_time = std::max(end_time, t.ctx.now);
-    }
+    NOFTL_RETURN_IF_ERROR(RunStep(db_, options_, &t, when, &tally));
+    if (measuring) end_time = std::max(end_time, t.ctx.now);
     total++;
-    t.executed++;
-    if (!options_.per_terminal_streams || t.executed < quota) {
+    if (--t.left != 0) {
       // The terminal keys/thinks before its next transaction; the gap is
       // exactly where a background tick finds idle dies.
       queue.push({t.ctx.now + options_.think_time_us, idx});
@@ -371,10 +417,10 @@ Result<DriverReport> TpccDriver::Run() {
     // Idle-time background services: one deterministic scheduling pass,
     // the synchronous counterpart of the service thread. No-op (and
     // digest-invisible) when the scheduler is disabled. Runs after the
-    // GC-overlap sample above so background relocations are not attributed
-    // to the transaction — and only when this transaction's end time
-    // precedes every pending terminal event: die-time queues serve in call
-    // order, so ticking while an earlier-clocked transaction is still
+    // step's GC-overlap sample so background relocations are not
+    // attributed to the transaction — and only when this transaction's end
+    // time precedes every pending terminal event: die-time queues serve in
+    // call order, so ticking while an earlier-clocked transaction is still
     // unexecuted would insert background work ahead of it.
     if (queue.empty() || t.ctx.now <= queue.top().first) {
       db_->database()->TickSchedulers(t.ctx.now);
@@ -389,25 +435,16 @@ Result<DriverReport> TpccDriver::Run() {
     }
   }
 
+  DriverReport report;
+  tally.MergeInto(&report);
   report.elapsed_us = end_time - measure_start;
-  report.tps = report.elapsed_us
-                   ? static_cast<double>(report.transactions) /
-                         (static_cast<double>(report.elapsed_us) / 1e6)
-                   : 0;
-
-  db_->database()->ClearShardPlacementHint();
+  report.tps = PerSecond(report.transactions, report.elapsed_us);
   FillDeviceReport(db_->database(), base, &report);
   FillSchedReport(db_->database(), sched_base, &report);
   return report;
 }
 
 Result<DriverReport> TpccDriver::RunThreaded() {
-  const TpccScale& scale = db_->scale();
-  if (!options_.per_terminal_streams) {
-    return Status::InvalidArgument(
-        "worker_threads requires per_terminal_streams (the committed work "
-        "must not depend on thread interleaving)");
-  }
   if (options_.global_wl_interval != 0) {
     return Status::InvalidArgument(
         "global_wl_interval is not supported with worker_threads");
@@ -417,51 +454,21 @@ Result<DriverReport> TpccDriver::RunThreaded() {
         "max_sim_time_us is not supported with worker_threads");
   }
 
-  // Terminal setup is identical to the deterministic driver — same
-  // per-terminal seeds, deck shuffles and quotas — so every terminal
-  // executes the exact same transaction stream and the committed work is
-  // digest-equal to a worker_threads=0 run.
-  struct Terminal {
-    txn::TxnContext ctx;
-    int32_t home_w = 0;
-    int32_t stock_d = 0;
-    std::vector<TxnType> deck;
-    size_t deck_pos = 0;
-    std::unique_ptr<Rng> rng;
-    std::unique_ptr<NURand> nurand;
-    std::unique_ptr<TpccTransactions> txns;
-  };
+  // The deterministic driver's terminals — same per-terminal seeds, decks
+  // and quotas — so every terminal executes the exact same transaction
+  // stream and the committed work is digest-equal to a worker_threads=0 run.
+  std::vector<Terminal> terminals = MakeTerminals(db_, options_);
   // One mutex per warehouse (1-indexed): a transaction locks the sorted set
   // of warehouses it touches before its first data access, so conflicting
   // row read-modify-writes are serialized while the storage stack below
   // runs concurrently. A deque: the ranked Mutex is neither default-
   // constructible nor movable.
   std::deque<noftl::Mutex> wlocks;
-  for (uint32_t w = 0; w <= scale.warehouses; w++) {
+  for (uint32_t w = 0; w <= db_->scale().warehouses; w++) {
     wlocks.emplace_back(noftl::LockRank::kWarehouse);
   }
-  std::vector<Terminal> terminals(options_.terminals);
-  const SimTime start_time = db_->load_end_time();
-  const uint64_t quota =
-      (options_.warmup_transactions + options_.max_transactions +
-       options_.terminals - 1) /
-      options_.terminals;
-  for (uint32_t i = 0; i < options_.terminals; i++) {
-    Terminal& t = terminals[i];
-    t.ctx.now = start_time;
-    t.home_w = static_cast<int32_t>(i % scale.warehouses) + 1;
-    t.stock_d = static_cast<int32_t>(i % scale.districts_per_warehouse) + 1;
-    t.deck = MakeDeck();
-    t.rng = std::make_unique<Rng>(options_.seed * 1000003ull + i);
-    t.nurand = std::make_unique<NURand>(t.rng.get(), *db_->nurand());
-    t.txns =
-        std::make_unique<TpccTransactions>(db_, t.rng.get(), t.nurand.get());
-    t.txns->SetBatchedIo(options_.batched_io);
-    t.txns->SetWarehouseLocks(&wlocks);
-    for (size_t k = t.deck.size(); k > 1; k--) {
-      std::swap(t.deck[k - 1], t.deck[t.rng->Below(k)]);
-    }
-  }
+  for (Terminal& t : terminals) t.txns->SetWarehouseLocks(&wlocks);
+  const uint64_t quota = TerminalQuota(options_);
 
   // The warmup share of each terminal's quota (the deterministic driver
   // warms up globally; per terminal it is the same count on average).
@@ -470,111 +477,6 @@ Result<DriverReport> TpccDriver::RunThreaded() {
                  options_.terminals);
   const uint32_t workers =
       std::min<uint32_t>(options_.worker_threads, options_.terminals);
-
-  struct WorkerTally {
-    uint64_t transactions = 0;
-    uint64_t rollbacks = 0;
-    uint64_t txn_retries = 0;
-    uint64_t txn_giveups = 0;
-    Histogram response_us[kNumTxnTypes];
-    Histogram response_gc_active_us;
-    Histogram response_idle_us;
-    Histogram response_snapshot_us;
-    Histogram response_latest_scan_us;
-    Status error;
-  };
-
-  // Execute one transaction of `t`, accounting into `tally` when measuring.
-  // Returns false on a non-transient error (stored in tally->error).
-  auto run_one = [&](Terminal& t, WorkerTally* tally, bool measuring) {
-    if (t.deck_pos == t.deck.size()) {
-      for (size_t k = t.deck.size(); k > 1; k--) {
-        std::swap(t.deck[k - 1], t.deck[t.rng->Below(k)]);
-      }
-      t.deck_pos = 0;
-    }
-    const TxnType type = t.deck[t.deck_pos++];
-    // GC-overlap sample: racy across workers (another worker's GC window can
-    // bleed in), which only errs toward the GC-active bucket — conservative
-    // for the tail gates.
-    const uint64_t gc_before = measuring ? GcOpsTotal(db_->database()) : 0;
-    // The placement hint is thread-local: each worker pins run-time extent
-    // growth to the terminal's home warehouse, as the deterministic driver
-    // does.
-    db_->database()->SetShardPlacementHint(static_cast<uint64_t>(t.home_w));
-    t.ctx.Begin(t.ctx.now);
-    bool committed = true;
-    bool ran_on_snapshot = false;
-    Status s;
-    uint32_t attempt = 0;
-    for (;;) {
-      committed = true;
-      switch (type) {
-        case TxnType::kNewOrder:
-          s = t.txns->NewOrder(&t.ctx, t.home_w, &committed);
-          break;
-        case TxnType::kPayment:
-          s = t.txns->Payment(&t.ctx, t.home_w);
-          break;
-        case TxnType::kOrderStatus:
-          s = t.txns->OrderStatus(&t.ctx, t.home_w);
-          break;
-        case TxnType::kDelivery:
-          s = t.txns->Delivery(&t.ctx, t.home_w);
-          break;
-        case TxnType::kStockLevel: {
-          // Snapshot scan concurrent with live writers: the other workers
-          // keep superseding pages while this scan reads the pinned
-          // versions the mappers retain for it.
-          uint64_t snap = 0;
-          if (options_.snapshot_stocklevel) {
-            auto opened = db_->database()->OpenSnapshot(&t.ctx);
-            if (opened.ok()) {
-              snap = *opened;
-              t.ctx.snapshot_seq = snap;
-              ran_on_snapshot = true;
-            }
-          }
-          s = t.txns->StockLevel(&t.ctx, t.home_w, t.stock_d);
-          if (snap != 0) {
-            t.ctx.snapshot_seq = 0;
-            db_->database()->ReleaseSnapshot(snap);
-          }
-          break;
-        }
-      }
-      if (s.ok()) break;
-      if ((!s.IsIOError() && !s.IsBusy()) || options_.txn_retry_limit == 0) {
-        tally->error = s;
-        return false;
-      }
-      if (attempt >= options_.txn_retry_limit) {
-        if (measuring) tally->txn_giveups++;
-        committed = false;
-        break;
-      }
-      attempt++;
-      if (measuring) tally->txn_retries++;
-      t.ctx.Begin(t.ctx.now + options_.txn_retry_backoff_us * attempt);
-    }
-    if (measuring) {
-      tally->response_us[static_cast<int>(type)].Record(t.ctx.ResponseTime());
-      const bool gc_overlap = GcOpsTotal(db_->database()) != gc_before;
-      (gc_overlap ? tally->response_gc_active_us : tally->response_idle_us)
-          .Record(t.ctx.ResponseTime());
-      if (type == TxnType::kStockLevel) {
-        (ran_on_snapshot ? tally->response_snapshot_us
-                         : tally->response_latest_scan_us)
-            .Record(t.ctx.ResponseTime());
-      }
-      if (committed) {
-        tally->transactions++;
-      } else {
-        tally->rollbacks++;
-      }
-    }
-    return true;
-  };
 
   // Run phase. Terminals are dealt round-robin to workers. Each worker runs
   // its smallest-clock terminal next, as the deterministic driver does
@@ -587,22 +489,26 @@ Result<DriverReport> TpccDriver::RunThreaded() {
   // event-driven simulation — so a lagging worker's I/O never queues behind
   // dies the others pushed far ahead. The minimum worker always proceeds,
   // and a finished worker leaves the minimum, so the gate cannot deadlock.
-  // Returns the largest lead over the minimum that any start saw.
+  // Merges the workers' tallies and the largest lead over the minimum that
+  // any start saw into `report`.
   auto run_phase = [&](uint64_t txns_per_terminal, bool measuring,
-                       std::vector<WorkerTally>* tallies) {
+                       DriverReport* report) {
     constexpr SimTime kIdle = ~SimTime{0};
     constexpr size_t kNone = ~size_t{0};
     noftl::Mutex gate_mu(noftl::LockRank::kLeafStats);
     std::condition_variable_any gate_cv;
     std::vector<SimTime> next_start(workers, kIdle);
     SimTime max_lead = 0;
-    std::vector<uint64_t> left(terminals.size(), txns_per_terminal);
+    std::vector<Tally> tallies(workers);
+    std::vector<Status> errors(workers);
+    for (Terminal& t : terminals) t.left = txns_per_terminal;
     // Worker k's next terminal: its smallest clock with quota left.
     auto pick = [&](uint32_t k) {
       size_t best = kNone;
       for (size_t i = k; i < terminals.size(); i += workers) {
-        if (left[i] != 0 && (best == kNone || terminals[i].ctx.now <
-                                                  terminals[best].ctx.now)) {
+        if (terminals[i].left != 0 &&
+            (best == kNone ||
+             terminals[i].ctx.now < terminals[best].ctx.now)) {
           best = i;
         }
       }
@@ -621,7 +527,6 @@ Result<DriverReport> TpccDriver::RunThreaded() {
     pool.reserve(workers);
     for (uint32_t k = 0; k < workers; k++) {
       pool.emplace_back([&, k] {
-        WorkerTally& tally = (*tallies)[k];
         for (size_t i = pick(k); i != kNone;) {
           {
             MutexLock lock(gate_mu);
@@ -630,13 +535,14 @@ Result<DriverReport> TpccDriver::RunThreaded() {
             }
             max_lead = std::max(max_lead, next_start[k] - slowest());
           }
-          const SimTime before = terminals[i].ctx.now;
-          const bool ok = run_one(terminals[i], &tally, measuring);
-          left[i]--;
-          const SimTime took = terminals[i].ctx.now - before;
+          Terminal& t = terminals[i];
+          const SimTime before = t.ctx.now;
+          errors[k] = RunStep(db_, options_, &t, t.ctx.now, &tallies[k]);
+          t.left--;
+          const SimTime took = t.ctx.now - before;
           // Publish the next start (a failed transaction stops this worker)
           // before any pacing sleep, so the others never wait out the sleep.
-          i = ok ? pick(k) : kNone;
+          i = errors[k].ok() ? pick(k) : kNone;
           {
             MutexLock lock(gate_mu);
             next_start[k] = start_of(i);
@@ -655,18 +561,15 @@ Result<DriverReport> TpccDriver::RunThreaded() {
       });
     }
     for (auto& th : pool) th.join();
-    return max_lead;
-  };
-  auto first_error = [](const std::vector<WorkerTally>& tallies) {
-    for (const WorkerTally& t : tallies) {
-      if (!t.error.ok()) return t.error;
-    }
+    for (const Status& s : errors) NOFTL_RETURN_IF_ERROR(s);
+    for (const Tally& tally : tallies) tally.MergeInto(report);
+    report->max_start_lead_us = max_lead;
     return Status::OK();
   };
 
-  std::vector<WorkerTally> warmup_tallies(workers);
-  run_phase(warmup_quota, /*measuring=*/false, &warmup_tallies);
-  NOFTL_RETURN_IF_ERROR(first_error(warmup_tallies));
+  DriverReport warmup_report;  // discarded
+  NOFTL_RETURN_IF_ERROR(
+      run_phase(warmup_quota, /*measuring=*/false, &warmup_report));
 
   // Warmup done (all workers joined): restart the measurement window.
   db_->database()->ResetDeviceStats();
@@ -676,48 +579,24 @@ Result<DriverReport> TpccDriver::RunThreaded() {
     measure_start = std::min(measure_start, t.ctx.now);
   }
 
-  std::vector<WorkerTally> tallies(workers);
+  DriverReport report;
   const SchedTotals sched_base = CollectSchedTotals(db_->database());
   const auto wall_start = std::chrono::steady_clock::now();
-  const SimTime max_lead =
-      run_phase(quota - warmup_quota, /*measuring=*/true, &tallies);
+  NOFTL_RETURN_IF_ERROR(
+      run_phase(quota - warmup_quota, /*measuring=*/true, &report));
   const auto wall_end = std::chrono::steady_clock::now();
-  NOFTL_RETURN_IF_ERROR(first_error(tallies));
-  db_->database()->ClearShardPlacementHint();
 
-  DriverReport report;
-  report.max_start_lead_us = max_lead;
   SimTime end_time = measure_start;
   for (const Terminal& t : terminals) {
     end_time = std::max(end_time, t.ctx.now);
   }
-  for (const WorkerTally& tally : tallies) {
-    report.transactions += tally.transactions;
-    report.rollbacks += tally.rollbacks;
-    report.txn_retries += tally.txn_retries;
-    report.txn_giveups += tally.txn_giveups;
-    for (int ty = 0; ty < kNumTxnTypes; ty++) {
-      report.response_us[ty].Merge(tally.response_us[ty]);
-    }
-    report.response_gc_active_us.Merge(tally.response_gc_active_us);
-    report.response_idle_us.Merge(tally.response_idle_us);
-    report.response_snapshot_us.Merge(tally.response_snapshot_us);
-    report.response_latest_scan_us.Merge(tally.response_latest_scan_us);
-  }
   report.elapsed_us = end_time - measure_start;
-  report.tps = report.elapsed_us
-                   ? static_cast<double>(report.transactions) /
-                         (static_cast<double>(report.elapsed_us) / 1e6)
-                   : 0;
+  report.tps = PerSecond(report.transactions, report.elapsed_us);
   report.wall_elapsed_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(wall_end -
                                                             wall_start)
           .count());
-  report.wall_tps =
-      report.wall_elapsed_us
-          ? static_cast<double>(report.transactions) /
-                (static_cast<double>(report.wall_elapsed_us) / 1e6)
-          : 0;
+  report.wall_tps = PerSecond(report.transactions, report.wall_elapsed_us);
   FillDeviceReport(db_->database(), DeviceTotals{}, &report);
   FillSchedReport(db_->database(), sched_base, &report);
   return report;

@@ -2,10 +2,15 @@
 //
 // N terminals, each with a home warehouse, a fixed stock-level district and
 // a card deck implementing the standard mix (45% NewOrder, 43% Payment, 4%
-// each of Order-Status, Delivery, Stock-Level). Concurrency is simulated by
-// event order: the terminal with the smallest local clock always runs next,
-// so transactions from different terminals interleave on the shared flash
-// die timeline and contend for die service like real concurrent clients.
+// each of Order-Status, Delivery, Stock-Level). Every terminal draws from
+// its own rng/NURand stream (same NURand C constants as the loader) and runs
+// a fixed quota of transactions, so the executed workload does not depend
+// on how terminals interleave: runs over differently-timed storage stacks
+// (shard counts, worker threads) commit the identical logical work.
+// Concurrency is simulated by event order: the terminal with the smallest
+// local clock always runs next, so transactions from different terminals
+// interleave on the shared flash die timeline and contend for die service
+// like real concurrent clients.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +30,9 @@ inline constexpr SimTime kThreadedLagWindowUs = 20000;
 
 struct DriverOptions {
   uint32_t terminals = 8;
-  /// Stop after this many *measured* transactions (committed + rolled back)...
+  /// Stop after this many *measured* transactions (committed + rolled back),
+  /// run in whole per-terminal quotas: every terminal runs
+  /// ceil((warmup + max) / terminals) transactions, warmup included...
   uint64_t max_transactions = 50000;
   /// ...or after this much simulated time in the measured phase (µs;
   /// 0 = no time limit).
@@ -41,15 +48,6 @@ struct DriverOptions {
   /// prefetch; see TpccTransactions::SetBatchedIo). Off = the serial
   /// one-page-at-a-time baseline.
   bool batched_io = true;
-  /// Give every terminal its own rng/NURand stream (same NURand C constants
-  /// as the loader) and a fixed per-terminal transaction quota of
-  /// (warmup + max) / terminals. The executed workload multiset then does
-  /// not depend on how terminals interleave on the simulated clock, so two
-  /// runs over differently-timed storage stacks (e.g. different shard
-  /// counts) commit the identical logical work — the property the sharding
-  /// bench's cross-configuration digest check relies on. Off (default) =
-  /// the original shared-stream behaviour.
-  bool per_terminal_streams = false;
   /// Abort-and-retry: a transaction that fails with a transient storage
   /// error (IOError — the mapper's own read retries exhausted — or Busy)
   /// aborts and re-runs on the same terminal after a backoff, up to this
@@ -71,9 +69,9 @@ struct DriverOptions {
   /// terminal within kThreadedLagWindowUs of the slowest worker;
   /// per-warehouse mutexes serialize conflicting transactions). 0 (default)
   /// = the deterministic event-ordered single-thread loop above —
-  /// byte-identical runs. Threaded mode requires per_terminal_streams (so
-  /// the committed work stays digest-equal to the deterministic run) and
-  /// supports neither global_wl_interval nor max_sim_time_us.
+  /// byte-identical runs. Threaded runs commit work digest-equal to the
+  /// deterministic run and support neither global_wl_interval nor
+  /// max_sim_time_us.
   uint32_t worker_threads = 0;
   /// Threaded mode: emulate device latency in wall-clock time. After each
   /// measured transaction the worker sleeps for the transaction's simulated

@@ -383,10 +383,9 @@ TEST(ReadFaultTest, BatchedReadsRetryTransientFaults) {
 
 TEST(ReadFaultTest, PerDieFaultStreamsAreIndependent) {
   flash::FlashGeometry geo = TinyGeometry();
-  // Record die 1's failure pattern with and without extra traffic on die 0.
-  // With per-die streams the pattern must not shift; with the shared stream
-  // it almost surely does.
-  auto die1_pattern = [&](bool per_die, int die0_reads) {
+  // Record die 1's failure pattern with and without extra traffic on die 0:
+  // each die draws from its own stream, so the pattern must not shift.
+  auto die1_pattern = [&](int die0_reads) {
     flash::FlashDevice device(geo, flash::FlashTiming{});
     std::vector<char> data(geo.page_size, 'p');
     for (flash::PageId p = 0; p < 8; p++) {
@@ -398,7 +397,6 @@ TEST(ReadFaultTest, PerDieFaultStreamsAreIndependent) {
     }
     flash::FaultOptions faults;
     faults.read_transient_rate = 0.5;
-    faults.per_die_streams = per_die;
     faults.seed = 42;
     device.SetFaults(faults);
     std::vector<char> buf(geo.page_size);
@@ -414,8 +412,7 @@ TEST(ReadFaultTest, PerDieFaultStreamsAreIndependent) {
     }
     return pattern;
   };
-  EXPECT_EQ(die1_pattern(true, 0), die1_pattern(true, 17));
-  EXPECT_NE(die1_pattern(false, 0), die1_pattern(false, 17));
+  EXPECT_EQ(die1_pattern(0), die1_pattern(17));
 }
 
 }  // namespace

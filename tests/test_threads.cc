@@ -579,38 +579,49 @@ tpcc::DriverOptions ThreadedDriverOptions(uint32_t workers) {
   o.max_transactions = 400;
   o.warmup_transactions = 100;
   o.seed = 11;
-  o.per_terminal_streams = true;
   o.worker_threads = workers;
   return o;
 }
 
 TEST(ThreadsTpccTest, ThreadedRunCommitsTheDeterministicWork) {
-  auto deterministic = tpcc::TpccDb::CreateAndLoad(SmallTpcc());
-  ASSERT_TRUE(deterministic.ok()) << deterministic.status().ToString();
-  tpcc::TpccDriver d0(deterministic->get(), ThreadedDriverOptions(0));
-  auto r0 = d0.Run();
-  ASSERT_TRUE(r0.ok()) << r0.status().ToString();
-  const TpccDigest base = DigestTpcc(deterministic->get());
+  for (bool snapshot_stocklevel : {false, true}) {
+    SCOPED_TRACE(snapshot_stocklevel);
+    auto options = [&](uint32_t workers) {
+      tpcc::DriverOptions o = ThreadedDriverOptions(workers);
+      o.snapshot_stocklevel = snapshot_stocklevel;
+      return o;
+    };
+    auto deterministic = tpcc::TpccDb::CreateAndLoad(SmallTpcc());
+    ASSERT_TRUE(deterministic.ok()) << deterministic.status().ToString();
+    tpcc::TpccDriver d0(deterministic->get(), options(0));
+    auto r0 = d0.Run();
+    ASSERT_TRUE(r0.ok()) << r0.status().ToString();
+    const TpccDigest base = DigestTpcc(deterministic->get());
 
-  auto threaded = tpcc::TpccDb::CreateAndLoad(SmallTpcc());
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  tpcc::TpccDriver d3(threaded->get(), ThreadedDriverOptions(3));
-  auto r3 = d3.Run();
-  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
+    auto threaded = tpcc::TpccDb::CreateAndLoad(SmallTpcc());
+    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+    tpcc::TpccDriver d3(threaded->get(), options(3));
+    auto r3 = d3.Run();
+    ASSERT_TRUE(r3.ok()) << r3.status().ToString();
 
-  // Same per-terminal decks and quotas: the committed logical work is
-  // identical, whatever the OS scheduler did.
-  EXPECT_EQ(r3->transactions, r0->transactions);
-  EXPECT_EQ(r3->rollbacks, r0->rollbacks);
-  EXPECT_EQ(DigestTpcc(threaded->get()), base);
+    // Same per-terminal decks and quotas: the committed logical work is
+    // identical, whatever the OS scheduler did.
+    EXPECT_EQ(r3->transactions, r0->transactions);
+    EXPECT_EQ(r3->rollbacks, r0->rollbacks);
+    EXPECT_EQ(DigestTpcc(threaded->get()), base);
 
-  // Wall-clock metrics only exist in threaded mode.
-  EXPECT_EQ(r0->wall_elapsed_us, 0u);
-  EXPECT_GT(r3->wall_elapsed_us, 0u);
-  EXPECT_GT(r3->wall_tps, 0.0);
+    // Both drivers run Stock-Level on snapshots exactly when asked to.
+    EXPECT_EQ(r0->response_snapshot_us.count() > 0, snapshot_stocklevel);
+    EXPECT_EQ(r3->response_snapshot_us.count() > 0, snapshot_stocklevel);
 
-  for (auto* rg : threaded->get()->database()->regions()->regions()) {
-    EXPECT_TRUE(rg->mapper().VerifyIntegrity().ok()) << rg->name();
+    // Wall-clock metrics only exist in threaded mode.
+    EXPECT_EQ(r0->wall_elapsed_us, 0u);
+    EXPECT_GT(r3->wall_elapsed_us, 0u);
+    EXPECT_GT(r3->wall_tps, 0.0);
+
+    for (auto* rg : threaded->get()->database()->regions()->regions()) {
+      EXPECT_TRUE(rg->mapper().VerifyIntegrity().ok()) << rg->name();
+    }
   }
 }
 
@@ -643,16 +654,6 @@ TEST(ThreadsTpccTest, BoundedLagRunsCommitTheDeterministicWork) {
     // active worker.
     EXPECT_LE(r->max_start_lead_us, tpcc::kThreadedLagWindowUs);
   }
-}
-
-TEST(ThreadsTpccTest, ThreadedModeRequiresPerTerminalStreams) {
-  auto db = tpcc::TpccDb::CreateAndLoad(SmallTpcc());
-  ASSERT_TRUE(db.ok());
-  tpcc::DriverOptions o = ThreadedDriverOptions(2);
-  o.per_terminal_streams = false;
-  tpcc::TpccDriver driver(db->get(), o);
-  auto report = driver.Run();
-  EXPECT_FALSE(report.ok());
 }
 
 TEST(ThreadsTpccTest, MoreWorkersThanTerminalsIsFine) {

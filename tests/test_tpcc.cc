@@ -6,6 +6,8 @@
 #include <cmath>
 #include <set>
 
+#include "shard/shard_router.h"
+#include "shard/sharded_space.h"
 #include "tpcc/driver.h"
 #include "tpcc/placement.h"
 #include "tpcc/tpcc_db.h"
@@ -620,10 +622,19 @@ TEST(TpccDriverTest, RunsAndReports) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   DriverOptions options;
   options.terminals = 4;
-  options.max_transactions = 400;
+  options.warmup_transactions = 50;
+  options.max_transactions = 401;
   TpccDriver driver(db->get(), options);
   auto report = driver.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // The run is made of whole per-terminal quotas, warmup included: every
+  // terminal runs ceil((warmup + max) / terminals) transactions.
+  const uint64_t per_terminal =
+      (options.warmup_transactions + options.max_transactions +
+       options.terminals - 1) /
+      options.terminals;
+  EXPECT_EQ(report->transactions + report->rollbacks,
+            per_terminal * options.terminals - options.warmup_transactions);
   EXPECT_GT(report->transactions, 300u);
   EXPECT_GT(report->tps, 0.0);
   EXPECT_GT(report->elapsed_us, 0u);
@@ -631,6 +642,36 @@ TEST(TpccDriverTest, RunsAndReports) {
   // The standard mix: NewOrder is the plurality.
   EXPECT_GT(report->response_us[0].count(), report->response_us[2].count());
   EXPECT_FALSE(report->ToString().empty());
+}
+
+TEST(TpccDriverTest, FailedRunLeavesNoShardPlacementHint) {
+  TpccDbOptions o = SmallTpcc();
+  o.db.sharding.shard_count = 2;
+  o.db.sharding.placement = shard::ShardPlacement::kByKey;
+  auto db = TpccDb::CreateAndLoad(o);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  // Every flash read fails and the driver does not retry, so the run stops
+  // at the first buffer miss, inside a transaction that pinned its warehouse.
+  flash::FaultOptions faults;
+  faults.read_transient_rate = 1.0;
+  (*db)->database()->ForEachDevice(
+      [&](flash::FlashDevice* dev) { dev->SetFaults(faults); });
+  DriverOptions options;
+  options.terminals = 2;
+  options.max_transactions = 400;
+  options.txn_retry_limit = 0;
+  TpccDriver driver(db->get(), options);
+  ASSERT_FALSE(driver.Run().ok());
+
+  // A later allocation on this thread is placed by its own key again, not
+  // pinned to the failed transaction's warehouse.
+  shard::ShardedSpace* space = (*db)->database()->shards()->space("rg_all");
+  ASSERT_NE(space, nullptr);
+  for (uint64_t key : {0u, 1u}) {
+    auto extent = space->AllocateExtentHinted(8, key);
+    ASSERT_TRUE(extent.ok()) << extent.status().ToString();
+    EXPECT_EQ(shard::ShardedSpace::ShardOf(*extent), key);
+  }
 }
 
 TEST(TpccDriverTest, TimeLimitStopsRun) {

@@ -1,5 +1,5 @@
 // Batched vs serial I/O on an 8-die device, and what the event-driven
-// submit/poll completion queues buy on top.
+// submit/reap completion queues buy on top.
 //
 // The whole point of exposing native flash to the DBMS is its internal
 // parallelism — which a one-synchronous-op-at-a-time storage API cannot

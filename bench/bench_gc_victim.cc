@@ -8,10 +8,12 @@
 // valid_count, making the greedy pick O(1) and the cost-benefit pick
 // proportional to actual candidates only.
 //
-// Two measurements, both on a GC-churn workload at high utilization:
-//   * end-to-end: wall time of a uniform-overwrite churn (GC continuously
-//     picking victims), per victim index, plus the per-pick step counters;
-//   * isolated: ns per PickVictim call on the churned steady state.
+// One GC-churn workload at high utilization (GC always picks through the
+// buckets), then two measurements:
+//   * end-to-end: wall time of the uniform-overwrite churn (GC continuously
+//     picking victims) plus the per-pick step counters;
+//   * isolated: ns and steps per pick on the churned steady state, for the
+//     bucket index and for the linear-scan reference on the same state.
 //
 // Emits BENCH_gc_victim.json.
 //
@@ -36,17 +38,52 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-struct RunResult {
+struct ChurnResult {
   double churn_wall_ms = 0;
   uint64_t victim_picks = 0;
   uint64_t victim_scan_steps = 0;
   uint64_t gc_copybacks = 0;
   uint64_t gc_erases = 0;
-  double pick_ns = 0;  ///< isolated per-pick cost on the churned state
-  uint64_t pick_sink = 0;
 };
 
-RunResult Run(const Flags& flags, ftl::VictimIndex index) {
+struct PickResult {
+  double pick_ns = 0;
+  double steps_per_pick = 0;
+};
+
+double PerPick(uint64_t steps, uint64_t picks) {
+  return picks ? static_cast<double>(steps) / static_cast<double>(picks) : 0.0;
+}
+
+/// Isolated pick cost of `index` on the mapper's current state.
+PickResult MeasurePicks(ftl::OutOfPlaceMapper* mapper,
+                        const std::vector<flash::DieId>& dies, SimTime now,
+                        uint64_t picks, ftl::VictimIndex index) {
+  PickResult r;
+  uint64_t steps = 0;
+  const auto start = Clock::now();
+  for (uint64_t i = 0; i < picks; i++) {
+    mapper->DebugPickVictim(dies[i % dies.size()], now, index, &steps);
+  }
+  r.pick_ns = MsSince(start) * 1e6 / static_cast<double>(picks);
+  r.steps_per_pick = PerPick(steps, picks);
+  return r;
+}
+
+JsonObject ToJson(const PickResult& r) {
+  JsonObject o;
+  o.Set("pick_ns", r.pick_ns).Set("steps_per_pick", r.steps_per_pick);
+  return o;
+}
+
+int Main(int argc, char** argv) {
+  Flags flags(argc, argv);
+  printf("GC victim selection — valid-count buckets vs linear scan\n");
+  printf("blocks_per_die=%llu dies=%llu updates=%llu\n\n",
+         static_cast<unsigned long long>(flags.GetInt("blocks", 4096)),
+         static_cast<unsigned long long>(flags.GetInt("dies", 4)),
+         static_cast<unsigned long long>(flags.GetInt("updates", 300000)));
+
   flash::FlashGeometry geo;
   geo.channels = static_cast<uint32_t>(flags.GetInt("dies", 4));
   geo.dies_per_channel = 1;
@@ -57,7 +94,6 @@ RunResult Run(const Flags& flags, ftl::VictimIndex index) {
   flash::FlashDevice device(geo, flash::FlashTiming{});
 
   ftl::MapperOptions options;
-  options.victim_index = index;
   options.victim_policy = flags.GetString("policy", "greedy") == "costbenefit"
                               ? ftl::VictimPolicy::kCostBenefit
                               : ftl::VictimPolicy::kGreedy;
@@ -73,7 +109,7 @@ RunResult Run(const Flags& flags, ftl::VictimIndex index) {
   ftl::OutOfPlaceMapper mapper(&device, dies, logical, options);
   if (!mapper.CheckCapacity().ok()) {
     fprintf(stderr, "capacity check failed\n");
-    exit(1);
+    return 1;
   }
 
   // Fill the logical space, then churn uniform overwrites: at this
@@ -85,7 +121,7 @@ RunResult Run(const Flags& flags, ftl::VictimIndex index) {
              .ok()) {
       fprintf(stderr, "fill failed at %llu\n",
               static_cast<unsigned long long>(lpn));
-      exit(1);
+      return 1;
     }
   }
 
@@ -99,87 +135,46 @@ RunResult Run(const Flags& flags, ftl::VictimIndex index) {
                       0, nullptr)
              .ok()) {
       fprintf(stderr, "churn write failed\n");
-      exit(1);
+      return 1;
     }
   }
-  RunResult r;
-  r.churn_wall_ms = MsSince(churn_start);
+  ChurnResult churn;
+  churn.churn_wall_ms = MsSince(churn_start);
   const ftl::MapperStats after = mapper.stats();
-  r.victim_picks = after.victim_picks - before.victim_picks;
-  r.victim_scan_steps = after.victim_scan_steps - before.victim_scan_steps;
-  r.gc_copybacks = after.gc_copybacks - before.gc_copybacks;
-  r.gc_erases = after.gc_erases - before.gc_erases;
-
-  // Isolated pick cost on the churned steady state.
-  const uint64_t picks = flags.GetInt("picks", 50000);
-  const auto pick_start = Clock::now();
-  for (uint64_t i = 0; i < picks; i++) {
-    const flash::DieId die = dies[i % dies.size()];
-    r.pick_sink += mapper.DebugPickVictim(die, now, index);
-  }
-  r.pick_ns = MsSince(pick_start) * 1e6 / static_cast<double>(picks);
-  return r;
-}
-
-JsonObject ToJson(const RunResult& r) {
-  JsonObject o;
-  o.Set("churn_wall_ms", r.churn_wall_ms)
-      .Set("victim_picks", r.victim_picks)
-      .Set("victim_scan_steps", r.victim_scan_steps)
-      .Set("steps_per_pick",
-           r.victim_picks
-               ? static_cast<double>(r.victim_scan_steps) /
-                     static_cast<double>(r.victim_picks)
-               : 0.0)
-      .Set("gc_copybacks", r.gc_copybacks)
-      .Set("gc_erases", r.gc_erases)
-      .Set("pick_ns", r.pick_ns);
-  return o;
-}
-
-int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  printf("GC victim selection — valid-count buckets vs linear scan\n");
-  printf("blocks_per_die=%llu dies=%llu updates=%llu\n\n",
-         static_cast<unsigned long long>(flags.GetInt("blocks", 4096)),
-         static_cast<unsigned long long>(flags.GetInt("dies", 4)),
-         static_cast<unsigned long long>(flags.GetInt("updates", 300000)));
-
-  const RunResult scan = Run(flags, ftl::VictimIndex::kLinearScan);
-  const RunResult buckets = Run(flags, ftl::VictimIndex::kBuckets);
-
-  if (buckets.victim_picks == 0) {
+  churn.victim_picks = after.victim_picks - before.victim_picks;
+  churn.victim_scan_steps = after.victim_scan_steps - before.victim_scan_steps;
+  churn.gc_copybacks = after.gc_copybacks - before.gc_copybacks;
+  churn.gc_erases = after.gc_erases - before.gc_erases;
+  if (churn.victim_picks == 0) {
     printf("warning: churn finished before GC started (0 victim picks) — "
            "the end-to-end columns only reflect the fill headroom; raise "
            "updates= or utilization= for a GC-bound run\n\n");
   }
 
-  printf("%-14s | %12s %12s %14s %12s\n", "victim index", "churn ms",
-         "picks", "steps/pick", "pick ns");
-  PrintRule(72);
-  printf("%-14s | %12.1f %12llu %14.1f %12.1f\n", "linear scan",
-         scan.churn_wall_ms, static_cast<unsigned long long>(scan.victim_picks),
-         scan.victim_picks ? static_cast<double>(scan.victim_scan_steps) /
-                                 static_cast<double>(scan.victim_picks)
-                           : 0.0,
+  // Isolated pick cost of both indexes on the same churned steady state.
+  const uint64_t picks = flags.GetInt("picks", 50000);
+  const PickResult scan = MeasurePicks(&mapper, dies, now, picks,
+                                       ftl::VictimIndex::kLinearScan);
+  const PickResult buckets =
+      MeasurePicks(&mapper, dies, now, picks, ftl::VictimIndex::kBuckets);
+
+  printf("churn: %.1f ms, %llu picks, %.1f steps/pick, %llu copybacks, "
+         "%llu erases\n\n",
+         churn.churn_wall_ms,
+         static_cast<unsigned long long>(churn.victim_picks),
+         PerPick(churn.victim_scan_steps, churn.victim_picks),
+         static_cast<unsigned long long>(churn.gc_copybacks),
+         static_cast<unsigned long long>(churn.gc_erases));
+  printf("%-14s | %14s %12s\n", "victim index", "steps/pick", "pick ns");
+  PrintRule(44);
+  printf("%-14s | %14.1f %12.1f\n", "linear scan", scan.steps_per_pick,
          scan.pick_ns);
-  printf("%-14s | %12.1f %12llu %14.1f %12.1f\n", "buckets",
-         buckets.churn_wall_ms,
-         static_cast<unsigned long long>(buckets.victim_picks),
-         buckets.victim_picks
-             ? static_cast<double>(buckets.victim_scan_steps) /
-                   static_cast<double>(buckets.victim_picks)
-             : 0.0,
+  printf("%-14s | %14.1f %12.1f\n", "buckets", buckets.steps_per_pick,
          buckets.pick_ns);
-  PrintRule(72);
+  PrintRule(44);
   const double pick_ratio =
       buckets.pick_ns > 0 ? scan.pick_ns / buckets.pick_ns : 0.0;
-  const double wall_ratio = buckets.churn_wall_ms > 0
-                                ? scan.churn_wall_ms / buckets.churn_wall_ms
-                                : 0.0;
-  printf("\nper-pick cost ratio (scan/buckets): %.1fx; churn wall ratio: "
-         "%.2fx\n",
-         pick_ratio, wall_ratio);
+  printf("\nper-pick cost ratio (scan/buckets): %.1fx\n", pick_ratio);
 
   JsonObject out;
   JsonObject config;
@@ -189,12 +184,21 @@ int Main(int argc, char** argv) {
       .Set("updates", flags.GetInt("updates", 300000))
       .Set("utilization", flags.GetDouble("utilization", 0.85))
       .Set("policy", flags.GetString("policy", "greedy"));
+  JsonObject churn_json;
+  churn_json.Set("churn_wall_ms", churn.churn_wall_ms)
+      .Set("victim_picks", churn.victim_picks)
+      .Set("victim_scan_steps", churn.victim_scan_steps)
+      .Set("steps_per_pick",
+           PerPick(churn.victim_scan_steps, churn.victim_picks))
+      .Set("gc_copybacks", churn.gc_copybacks)
+      .Set("gc_erases", churn.gc_erases);
   out.Set("bench", std::string("gc_victim"))
       .Set("config", config)
+      .Set("churn", churn_json)
       .Set("linear_scan", ToJson(scan))
       .Set("buckets", ToJson(buckets));
   JsonObject speedup;
-  speedup.Set("pick_cost_ratio", pick_ratio).Set("churn_wall_ratio", wall_ratio);
+  speedup.Set("pick_cost_ratio", pick_ratio);
   out.Set("speedup", speedup);
 
   const std::string path = flags.GetString("out", "BENCH_gc_victim.json");

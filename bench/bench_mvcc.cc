@@ -363,7 +363,6 @@ CkptResult RunCkpt(const Flags& flags) {
 
   MapperOptions options;
   options.checkpoint_slots = 4;
-  options.incremental_checkpoints = true;
   ChurnStack st(geo, lpns, options, /*wire_snapshots=*/false);
   if (!st.WriteRound(lpns, 1)) return r;
   Status s = st.mapper->WriteCheckpoint(st.now, &st.now);

@@ -60,11 +60,10 @@ flash::FlashGeometry MakeGeometry(const Flags& flags) {
   return geo;
 }
 
-ftl::MapperOptions MakeOptions(const Flags& flags, bool via_checkpoint) {
+ftl::MapperOptions MakeOptions(const Flags& flags) {
   ftl::MapperOptions options;
   options.checkpoint_slots = 2;
   options.checkpoint_interval_writes = flags.GetInt("interval", 50000);
-  options.recover_via_checkpoint = via_checkpoint;
   return options;
 }
 
@@ -88,7 +87,7 @@ SimTime RunWorkload(const Flags& flags, flash::FlashDevice* device,
     std::vector<flash::DieId> dies(geo.total_dies());
     for (uint32_t i = 0; i < geo.total_dies(); i++) dies[i] = i;
     return dies;
-  }(), logical, MakeOptions(flags, true));
+  }(), logical, MakeOptions(flags));
   if (!mapper.CheckCapacity().ok()) {
     fprintf(stderr, "capacity check failed\n");
     exit(1);
@@ -128,9 +127,11 @@ RunResult Recover(const Flags& flags, flash::FlashDevice* device,
   RunResult r;
   SimTime done = crash_time;
   const auto start = Clock::now();
-  auto recovered = ftl::OutOfPlaceMapper::RecoverFromDevice(
-      device, dies, logical, MakeOptions(flags, via_checkpoint), crash_time,
-      &done);
+  auto recover = via_checkpoint
+                     ? &ftl::OutOfPlaceMapper::RecoverFromDevice
+                     : &ftl::OutOfPlaceMapper::DebugRecoverByFullScan;
+  auto recovered =
+      recover(device, dies, logical, MakeOptions(flags), crash_time, &done);
   r.wall_ms = MsSince(start);
   if (!recovered.ok()) {
     fprintf(stderr, "recovery failed: %s\n",
@@ -170,7 +171,7 @@ JsonObject ToJson(const RunResult& r) {
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const flash::FlashGeometry geo = MakeGeometry(flags);
-  const ftl::MapperOptions opts = MakeOptions(flags, true);
+  const ftl::MapperOptions opts = MakeOptions(flags);
   const uint64_t logical = LogicalPages(flags, geo, opts);
 
   printf("Recovery — full OOB scan vs checkpoint + per-die delta scan\n");

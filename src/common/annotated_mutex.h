@@ -15,10 +15,8 @@
 // the wait releases and reacquires through the wrapper.
 #pragma once
 
-#include <atomic>
 #include <mutex>
 #include <shared_mutex>
-#include <thread>
 
 #include "common/lock_hierarchy.h"
 #include "common/thread_annotations.h"
@@ -63,53 +61,6 @@ class CAPABILITY("mutex") Mutex {
   }
 
   std::mutex mu_;
-  const LockRank rank_;
-};
-
-/// std::recursive_mutex with a capability annotation and a rank. Only for
-/// locks whose re-entry is genuine (completion-callback reentrancy in the
-/// mapper); the rank must allow same-rank holds.
-class CAPABILITY("mutex") RecursiveMutex {
- public:
-  explicit RecursiveMutex(LockRank rank) : rank_(rank) {}
-  RecursiveMutex(const RecursiveMutex&) = delete;
-  RecursiveMutex& operator=(const RecursiveMutex&) = delete;
-
-  void lock() ACQUIRE() {
-#if NOFTL_LOCK_HIERARCHY_CHECKS
-    lockcheck::OnAcquire(rank_, this);
-#endif
-    mu_.lock();
-    if (depth_++ == 0) {
-      owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-    }
-  }
-  void unlock() RELEASE() {
-#if NOFTL_LOCK_HIERARCHY_CHECKS
-    lockcheck::OnRelease(this);
-#endif
-    if (--depth_ == 0) {
-      owner_.store(std::thread::id(), std::memory_order_relaxed);
-    }
-    mu_.unlock();
-  }
-
-  /// Whether the calling thread holds this mutex (at any depth). A thread
-  /// asking about itself always gets an exact answer: it alone stores its
-  /// own id. Lets a bounded wait (write admission) detect a re-entrant
-  /// caller that must fail fast instead of sleeping under the latch.
-  bool HeldByThisThread() const {
-    return owner_.load(std::memory_order_relaxed) == std::this_thread::get_id();
-  }
-
-  LockRank rank() const { return rank_; }
-
- private:
-  std::recursive_mutex mu_;
-  /// Owning thread while held (default id when free); depth_ is only
-  /// touched while holding mu_.
-  std::atomic<std::thread::id> owner_{};
-  uint32_t depth_ = 0;
   const LockRank rank_;
 };
 
@@ -179,20 +130,6 @@ class SCOPED_CAPABILITY MutexLock {
  private:
   Mutex& mu_;
   bool owned_ = true;
-};
-
-/// RAII hold of a RecursiveMutex.
-class SCOPED_CAPABILITY RecursiveMutexLock {
- public:
-  explicit RecursiveMutexLock(RecursiveMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~RecursiveMutexLock() RELEASE() { mu_.unlock(); }
-  RecursiveMutexLock(const RecursiveMutexLock&) = delete;
-  RecursiveMutexLock& operator=(const RecursiveMutexLock&) = delete;
-
- private:
-  RecursiveMutex& mu_;
 };
 
 /// RAII shared hold of a SharedMutex.

@@ -10,14 +10,12 @@
 //   * increments (`++`, `+=`, `fetch_add`) use relaxed ordering — counters
 //     only need atomicity, never ordering, so the hot paths pay one lock-free
 //     RMW and nothing else;
-//   * reads default to acquire and writes to release, so a counter that
-//     doubles as a flag (e.g. `IoRequest::done`, read by a completion poller
-//     while a callback on another thread sets it) publishes the fields
-//     written before it;
+//   * reads default to acquire and writes to release, so a value that
+//     doubles as a flag publishes the fields written before it;
 //   * unlike `std::atomic`, it is *copyable* (copy == snapshot load), so the
 //     stats structs stay aggregates: `MapperStats s = mapper->stats();`
 //     still works and takes a consistent-enough point-in-time snapshot of
-//     each field, and `IoRequest` can keep living in reallocating vectors.
+//     each field.
 //
 // Implicit conversion to `T` keeps every existing read site
 // (`stats.host_reads`, `EXPECT_EQ(a.gc_runs, b.gc_runs)`, arithmetic)

@@ -78,26 +78,25 @@ enum class LockRank : uint16_t {
   /// below kMapper; the mapper write path reads the horizon through lock-free
   /// atomics and never takes it.
   kSnapshot = 590,
-  /// Per-mapper latch (OutOfPlaceMapper::mu_, recursive). Same-rank
-  /// multi-acquisition is legal: completion callbacks fired under one
-  /// shard's mapper may re-enter the sharded space and poll/wait a sibling
-  /// shard's mapper.
+  /// Per-mapper latch (OutOfPlaceMapper::mu_, a plain mutex). No foreign
+  /// code runs under it and no path holds two mappers at once, so a second
+  /// mapper acquisition on one thread — the same latch or a sibling's — is a
+  /// bug and aborts.
   kMapper = 600,
   /// Flash-device latch. Innermost of the I/O stack proper.
   kDevice = 700,
-  /// ShardedSpace merged-ticket map (mu_). Above the mapper: completion
-  /// callbacks running under a shard mapper's latch legally re-enter the
-  /// space, which takes this briefly; it is never held across shard calls.
+  /// ShardedSpace merged-ticket map (mu_). A leaf in practice: taken
+  /// briefly to register or detach a merged ticket, never held across shard
+  /// calls, so it ranks below only the leaf bookkeeping.
   kShardPending = 800,
   /// Leaf bookkeeping with no lock acquired beneath it: ObjectIoStats,
   /// PageIo fallback-ticket map, the threaded TPC-C driver's clock gate.
   kLeafStats = 900,
 };
 
-/// Ranks a thread may hold more than once concurrently (distinct objects,
-/// or the same object for a recursive mutex).
+/// Ranks a thread may hold more than once concurrently (distinct objects).
 constexpr bool LockRankAllowsSameRank(LockRank rank) {
-  return rank == LockRank::kWarehouse || rank == LockRank::kMapper;
+  return rank == LockRank::kWarehouse;
 }
 
 const char* LockRankName(LockRank rank);

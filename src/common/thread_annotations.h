@@ -24,9 +24,6 @@
 //     ReaderLock, WriterLock), never std::lock_guard/std::unique_lock: the
 //     std guards are invisible to the analysis, so REQUIRES checks on
 //     private helpers would all fail under them.
-//   * EXCLUDES is deliberately NOT used on recursive-mutex entry points
-//     (the mapper): the analysis is per-function, so legal same-thread
-//     re-entry would trip a false negative-capability failure.
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)

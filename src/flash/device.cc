@@ -203,35 +203,6 @@ Ticket FlashDevice::SubmitProgram(const PageProgramOp& op, SimTime issue,
   return t;
 }
 
-size_t FlashDevice::PollCompletions(SimTime until, std::vector<Completion>* out) {
-  MutexLock lock(mu_);
-  // An op has retired once its die finished it; failed-at-submit ops carry
-  // complete == 0 and retire immediately.
-  std::vector<Completion> reaped;
-  for (const auto& [ticket, entry] : cq_) {
-    if (entry.result.complete <= until) reaped.push_back({ticket, entry.result});
-  }
-  std::sort(reaped.begin(), reaped.end(),
-            [](const Completion& a, const Completion& b) {
-              if (a.result.complete != b.result.complete) {
-                return a.result.complete < b.result.complete;
-              }
-              return a.ticket < b.ticket;
-            });
-  for (const Completion& c : reaped) {
-    auto it = cq_.find(c.ticket);
-    if (it->second.origin == OpOrigin::kHost) {
-      dies_[it->second.die].pending_host--;
-    }
-    cq_.erase(it);
-  }
-  const size_t n = reaped.size();
-  if (out != nullptr) {
-    for (Completion& c : reaped) out->push_back(std::move(c));
-  }
-  return n;
-}
-
 Result<OpResult> FlashDevice::WaitFor(Ticket ticket) {
   MutexLock lock(mu_);
   auto it = cq_.find(ticket);
@@ -244,12 +215,6 @@ Result<OpResult> FlashDevice::WaitFor(Ticket ticket) {
   }
   cq_.erase(it);
   return r;
-}
-
-const OpResult* FlashDevice::PeekCompletion(Ticket ticket) const {
-  MutexLock lock(mu_);
-  auto it = cq_.find(ticket);
-  return it == cq_.end() ? nullptr : &it->second.result;
 }
 
 OpResult FlashDevice::ReadOob(const PhysAddr& addr, SimTime issue,

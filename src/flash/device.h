@@ -125,12 +125,6 @@ struct PageProgramOp {
   PageMetadata meta;
 };
 
-/// One reaped entry of the device completion queue.
-struct Completion {
-  Ticket ticket = 0;
-  OpResult result;
-};
-
 /// The simulated device. Thread-safe: every public operation takes the
 /// device latch (a plain mutex at LockRank::kDevice; the queued and
 /// vectored surfaces share code with the synchronous entry points through
@@ -179,7 +173,7 @@ class FlashDevice {
   void ProgramPages(const PageProgramOp* ops, size_t count, SimTime issue,
                     OpOrigin origin, OpResult* results);
 
-  // --- Queued (submit/poll) surface -----------------------------------
+  // --- Queued (submit/reap) surface -----------------------------------
   //
   // NVMe-style event-driven I/O: Submit* enqueues an operation and returns a
   // ticket immediately — the caller's clock does not advance. The op enters
@@ -187,15 +181,14 @@ class FlashDevice {
   // horizon exactly as the synchronous calls would schedule it (same-die ops
   // retire FIFO in submission order; ops on distinct dies retire out of
   // order, whichever die finishes first). Results are delivered only when
-  // reaped: PollCompletions drains everything retired by a given simulated
-  // time, WaitFor blocks on (reaps) one specific ticket. An op's side effects
-  // on the flash array are ordered by its position in the die queue, so
-  // submit-then-reap and call-and-resolve executions are byte-identical.
+  // reaped: WaitFor reaps one specific ticket, whose result says when the op
+  // completed. An op's side effects on the flash array are ordered by its
+  // position in the die queue, so submit-then-reap and call-and-resolve
+  // executions are byte-identical.
   //
-  // Ownership: a ticket belongs to whoever submitted it. Layers that share
-  // one device (e.g. two regions' mappers) must reap their own tickets with
-  // WaitFor/PeekCompletion; device-wide PollCompletions is for callers that
-  // own every outstanding ticket (tests, benches, single-mapper stacks).
+  // Ownership: a ticket belongs to whoever submitted it, and only its
+  // submitter reaps it — layers that share one device (e.g. two regions'
+  // mappers) never see each other's tickets.
 
   /// Enqueue one page read (scheduling contract of ReadPages). The data and
   /// OOB buffers of `op` are filled by the array read at its queue position;
@@ -205,22 +198,12 @@ class FlashDevice {
   /// Enqueue one page program (scheduling contract of ProgramPages).
   Ticket SubmitProgram(const PageProgramOp& op, SimTime issue, OpOrigin origin);
 
-  /// Reap every queued completion that has retired by `until`, appended to
-  /// `*out` in retirement order (completion time, ties in submission order).
-  /// Returns the number reaped.
-  size_t PollCompletions(SimTime until, std::vector<Completion>* out);
-
   /// Reap one ticket regardless of the current caller time — the caller
   /// commits to waiting until the op's completion (result.complete says when
   /// that is). Works whether or not the op has already retired relative to
   /// any clock; InvalidArgument if the ticket is unknown or was already
-  /// reaped (e.g. by PollCompletions).
+  /// reaped.
   Result<OpResult> WaitFor(Ticket ticket);
-
-  /// Completion record of an outstanding ticket without reaping it (layers
-  /// above use this to decide what their own poll should retire); null if
-  /// the ticket is unknown or already reaped.
-  const OpResult* PeekCompletion(Ticket ticket) const;
 
   /// Outstanding (submitted, not yet reaped) queued operations.
   size_t QueueDepth() const {

@@ -18,9 +18,8 @@ using flash::PhysAddr;
 namespace {
 
 constexpr uint64_t kMagic = 0x4E46544C434B5054ull;  // "NFTLCKPT"
-/// Format 2 added the kind/base_epoch header fields for incremental
-/// checkpoints. Format-1 slots fail validation and fall back to full scan —
-/// a one-time cost at the version boundary, identical to a torn slot.
+/// On-flash layout version; a slot with any other format fails validation
+/// like a torn one.
 constexpr uint32_t kFormat = 2;
 /// OOB object id stamped on checkpoint pages (their logical_id stays kUnset,
 /// so the data-recovery scan already ignores them; the object id makes them

@@ -30,8 +30,8 @@ OutOfPlaceMapper::OutOfPlaceMapper(flash::FlashDevice* device,
       options_(options) {
   // Nobody shares a half-constructed mapper, but InitDieState carries
   // REQUIRES(mu_) and the runtime tracker expects acquisitions to pair: take
-  // the (recursive, uncontended) latch for the body.
-  RecursiveMutexLock lock(mu_);
+  // the (uncontended) latch for the body.
+  MutexLock lock(mu_);
   assert(!dies_.empty());
   const auto& geo = device_->geometry();
   pages_per_block_ = geo.pages_per_block;
@@ -218,12 +218,12 @@ void OutOfPlaceMapper::MarkInvalid(DieState& ds, uint32_t block,
 // ---------------------------------------------------------------------------
 
 uint64_t OutOfPlaceMapper::physical_pages() const {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   return dies_.size() * device_->geometry().pages_per_die();
 }
 
 Status OutOfPlaceMapper::CheckCapacity() const {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   const auto& geo = device_->geometry();
   const uint64_t reserve_blocks_per_die =
       options_.gc_high_watermark + 2 + reserved_per_die_;
@@ -265,15 +265,12 @@ bool OutOfPlaceMapper::DieThrottled(DieState& ds) {
 
 Status OutOfPlaceMapper::AdmitHostWrite() {
   if (options_.throttle_low_watermark == 0) return Status::OK();
-  // A re-entrant caller (completion callback under the latch) must never
-  // wait here: the sleep would hold the very latch the reclaimer needs.
-  const bool can_wait = bg_reclaimer_.load(std::memory_order_relaxed) &&
-                        !mu_.HeldByThisThread();
+  const bool can_wait = bg_reclaimer_.load(std::memory_order_relaxed);
   static constexpr int kWaitSlices = 8;
   bool engaged = false;
   for (int slice = 0;; slice++) {
     {
-      RecursiveMutexLock lock(mu_);
+      MutexLock lock(mu_);
       bool any_clear = false;
       for (DieState& ds : die_states_) {
         if (!DieThrottled(ds)) {
@@ -460,12 +457,12 @@ void OutOfPlaceMapper::ReclaimRetainedLocked() {
 }
 
 void OutOfPlaceMapper::ReclaimRetainedVersions() {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   ReclaimRetainedLocked();
 }
 
 void OutOfPlaceMapper::MarkDirtyLpn(uint64_t lpn) {
-  if (!options_.incremental_checkpoints || ckpt_ == nullptr) return;
+  if (ckpt_ == nullptr || ckpt_->slots() < kMinDeltaCheckpointSlots) return;
   if (dirty_words_.empty()) {
     dirty_words_.assign((logical_pages_ + kWordBits - 1) / kWordBits, 0);
   }
@@ -478,12 +475,12 @@ void OutOfPlaceMapper::MarkDirtyLpn(uint64_t lpn) {
 }
 
 bool OutOfPlaceMapper::IsMapped(uint64_t lpn) const {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   return lpn < logical_pages_ && l2p_[lpn].die != kUnmappedDie;
 }
 
 Result<PhysAddr> OutOfPlaceMapper::Lookup(uint64_t lpn) const {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   if (lpn >= logical_pages_) return Status::OutOfRange("lpn out of range");
   if (l2p_[lpn].die == kUnmappedDie) return Status::NotFound("lpn unmapped");
   return l2p_[lpn];
@@ -494,7 +491,7 @@ Status OutOfPlaceMapper::Read(uint64_t lpn, SimTime issue, OpOrigin origin,
                               uint64_t read_seq) {
   NOFTL_ASSERT_NO_UPPER_LATCHES();
   if (origin == OpOrigin::kHost) stats_.foreground_arrivals++;
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   if (lpn >= logical_pages_) return Status::OutOfRange("lpn out of range");
   // Health scrubs queued by earlier reads run first (they may move this
   // very page off a disturbed block); translation happens after.
@@ -694,7 +691,7 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
       }
     }
   }
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   ProcessReadScrubs(issue);
   PendingBatch batch;
   batch.id = next_io_ticket_++;
@@ -744,13 +741,12 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
         break;
       }
       case IoOp::kTrim:
-        io.status = Trim(r.lpn);
+        io.status = TrimLocked(r.lpn);
         io.complete = issue;
         break;
     }
     batch.ios.push_back(std::move(io));
   }
-  batch.remaining = batch.ios.size();
   const storage::IoTicket id = batch.id;
   inflight_.push_back(std::move(batch));
   if (ticket == nullptr) {
@@ -758,7 +754,7 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
     // in-flight would leak it holding pointers into the caller's requests
     // (a use-after-free once those requests die). Degrade to
     // call-and-resolve instead.
-    return WaitBatch(id, nullptr);
+    return WaitBatchLocked(id, nullptr);
   }
   *ticket = id;
   return Status::OK();
@@ -767,7 +763,7 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
 storage::IoTicket OutOfPlaceMapper::EnqueueResolved(
     storage::IoRequest* requests, size_t count, SimTime issue,
     const Status& status, SimTime done) {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   PendingBatch batch;
   batch.id = next_io_ticket_++;
   batch.issue = issue;
@@ -780,23 +776,12 @@ storage::IoTicket OutOfPlaceMapper::EnqueueResolved(
     if (status.ok()) io.complete = done;
     batch.ios.push_back(std::move(io));
   }
-  batch.remaining = count;
   const storage::IoTicket id = batch.id;
   inflight_.push_back(std::move(batch));
   return id;
 }
 
-SimTime OutOfPlaceMapper::PendingCompleteTime(const PendingIo& io) const {
-  if (io.dev_ticket == 0) return io.complete;
-  const flash::OpResult* r = device_->PeekCompletion(io.dev_ticket);
-  // The device holds every unreaped ticket we submitted; a missing entry
-  // cannot happen unless a caller reaped our ticket behind our back.
-  assert(r != nullptr);
-  return r != nullptr ? r->complete : 0;
-}
-
 void OutOfPlaceMapper::RetireIo(PendingBatch* batch, PendingIo* io) {
-  if (io->retired) return;
   if (io->dev_ticket != 0) {
     auto r = device_->WaitFor(io->dev_ticket);
     if (r.ok()) {
@@ -812,23 +797,22 @@ void OutOfPlaceMapper::RetireIo(PendingBatch* batch, PendingIo* io) {
     }
     io->dev_ticket = 0;
   }
-  io->retired = true;
-  batch->remaining--;
   if (io->status.ok()) batch->done = std::max(batch->done, io->complete);
   storage::IoRequest* req = io->req;
   req->status = io->status;
   req->complete = io->complete;
   req->done = true;
-  if (req->on_complete) req->on_complete(*req);
 }
 
 Status OutOfPlaceMapper::WaitBatch(storage::IoTicket ticket,
                                    SimTime* complete) {
   NOFTL_ASSERT_NO_UPPER_LATCHES();
-  RecursiveMutexLock lock(mu_);
-  // Detach the batch before retiring it: on_complete callbacks may submit
-  // new batches (growing inflight_) or reap other tickets on this mapper,
-  // either of which would invalidate an iterator held across the loop.
+  MutexLock lock(mu_);
+  return WaitBatchLocked(ticket, complete);
+}
+
+Status OutOfPlaceMapper::WaitBatchLocked(storage::IoTicket ticket,
+                                         SimTime* complete) {
   for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
     if (it->id != ticket) continue;
     PendingBatch batch = std::move(*it);
@@ -837,55 +821,8 @@ Status OutOfPlaceMapper::WaitBatch(storage::IoTicket ticket,
     if (complete != nullptr) *complete = batch.done;
     return Status::OK();
   }
-  // Unknown or already fully reaped (e.g. via PollCompletions): idempotent.
+  // Unknown or already reaped: idempotent.
   return Status::OK();
-}
-
-size_t OutOfPlaceMapper::PollCompletions(SimTime until) {
-  NOFTL_ASSERT_NO_UPPER_LATCHES();
-  RecursiveMutexLock lock(mu_);
-  struct Candidate {
-    SimTime complete;
-    storage::IoTicket batch_id;
-    size_t submit_order;  ///< position at candidate-collection time
-    size_t io;
-  };
-  std::vector<Candidate> ready;
-  for (size_t b = 0; b < inflight_.size(); b++) {
-    for (size_t i = 0; i < inflight_[b].ios.size(); i++) {
-      const PendingIo& io = inflight_[b].ios[i];
-      if (io.retired) continue;
-      const SimTime c = PendingCompleteTime(io);
-      if (c <= until) ready.push_back({c, inflight_[b].id, b, i});
-    }
-  }
-  std::sort(ready.begin(), ready.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.complete != b.complete) return a.complete < b.complete;
-              if (a.submit_order != b.submit_order) {
-                return a.submit_order < b.submit_order;
-              }
-              return a.io < b.io;
-            });
-  size_t retired = 0;
-  for (const Candidate& c : ready) {
-    // Re-resolve by ticket every step: an on_complete callback may have
-    // submitted (reallocating inflight_) or reaped this very batch via
-    // WaitBatch, so positional indices captured above are not stable.
-    auto it = std::find_if(
-        inflight_.begin(), inflight_.end(),
-        [&](const PendingBatch& b) { return b.id == c.batch_id; });
-    if (it == inflight_.end()) continue;  // reaped by a callback
-    PendingIo& io = it->ios[c.io];
-    if (io.retired) continue;
-    RetireIo(&*it, &io);
-    retired++;
-  }
-  // Release batches whose last request retired here; a later WaitBatch on
-  // their ticket is a documented no-op.
-  std::erase_if(inflight_,
-                [](const PendingBatch& b) { return b.remaining == 0; });
-  return retired;
 }
 
 Status OutOfPlaceMapper::PrepareHostSlot(DieId die, SimTime issue,
@@ -1001,7 +938,7 @@ Status OutOfPlaceMapper::Write(uint64_t lpn, SimTime issue, OpOrigin origin,
     stats_.foreground_arrivals++;
     NOFTL_RETURN_IF_ERROR(AdmitHostWrite());
   }
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   return WriteLocked(lpn, issue, origin, data, object_id, complete);
 }
 
@@ -1045,7 +982,7 @@ Status OutOfPlaceMapper::WriteAtomicBatch(const std::vector<BatchPage>& pages,
     stats_.foreground_arrivals++;
     NOFTL_RETURN_IF_ERROR(AdmitHostWrite());
   }
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   if (pages.empty()) return Status::InvalidArgument("empty atomic batch");
   {
     std::set<uint64_t> seen;
@@ -1394,7 +1331,11 @@ void OutOfPlaceMapper::RetryPendingScrubs(SimTime issue,
 
 Status OutOfPlaceMapper::Trim(uint64_t lpn) {
   NOFTL_ASSERT_NO_UPPER_LATCHES();
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
+  return TrimLocked(lpn);
+}
+
+Status OutOfPlaceMapper::TrimLocked(uint64_t lpn) {
   if (lpn >= logical_pages_) return Status::OutOfRange("lpn out of range");
   // A trim is a supersede with no new copy: snapshots older than the trim
   // keep reading the retained version; snapshots after it see NotFound
@@ -1519,21 +1460,23 @@ uint32_t OutOfPlaceMapper::PickVictim(DieState& ds, SimTime now) {
   stats_.victim_picks++;
   uint64_t steps = 0;
   const uint32_t victim =
-      PickVictimImpl(ds, now, options_.victim_index, &steps);
+      PickVictimImpl(ds, now, VictimIndex::kBuckets, &steps);
   stats_.victim_scan_steps += steps;
   return victim;
 }
 
 uint32_t OutOfPlaceMapper::DebugPickVictim(DieId die, SimTime now,
-                                           VictimIndex index) {
-  RecursiveMutexLock lock(mu_);
+                                           VictimIndex index,
+                                           uint64_t* steps) {
+  MutexLock lock(mu_);
   if (die >= die_slot_.size() || die_slot_[die] == kNoSlot) return kNoVictim;
-  uint64_t steps = 0;
-  return PickVictimImpl(StateOf(die), now, index, &steps);
+  uint64_t ignored = 0;
+  return PickVictimImpl(StateOf(die), now, index,
+                        steps != nullptr ? steps : &ignored);
 }
 
 uint32_t OutOfPlaceMapper::BlockValidCount(DieId die, BlockId block) const {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   if (die >= die_slot_.size() || die_slot_[die] == kNoSlot ||
       block >= StateOf(die).blocks.size()) {
     return ~0u;
@@ -1606,7 +1549,7 @@ Status OutOfPlaceMapper::CollectDie(DieId die, SimTime issue) {
 }
 
 Status OutOfPlaceMapper::ForceGc(SimTime issue) {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   for (DieId die : dies_) {
     NOFTL_RETURN_IF_ERROR(CollectDie(die, issue));
   }
@@ -1620,7 +1563,7 @@ Status OutOfPlaceMapper::BackgroundMaintainDie(flash::DieId die, SimTime now,
   BackgroundWork work;
   Status status = Status::OK();
   {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     if (die >= die_slot_.size() || die_slot_[die] == kNoSlot) {
       return Status::NotFound("die not in mapper");
     }
@@ -1721,7 +1664,7 @@ Status OutOfPlaceMapper::BackgroundMaintainDie(flash::DieId die, SimTime now,
 }
 
 uint64_t OutOfPlaceMapper::FreePages() const {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   const auto& geo = device_->geometry();
   uint64_t free = 0;
   for (const DieState& ds : die_states_) {
@@ -1739,7 +1682,7 @@ uint64_t OutOfPlaceMapper::FreePages() const {
 }
 
 Status OutOfPlaceMapper::RemoveDie(DieId die, SimTime issue) {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   if (die >= die_slot_.size() || die_slot_[die] == kNoSlot) {
     return Status::NotFound("die not in mapper");
   }
@@ -1894,7 +1837,7 @@ Status OutOfPlaceMapper::RemoveDie(DieId die, SimTime issue) {
 }
 
 Status OutOfPlaceMapper::AddDie(DieId die) {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   if (die >= die_slot_.size()) {
     return Status::InvalidArgument("die outside device geometry");
   }
@@ -1919,13 +1862,31 @@ Result<std::unique_ptr<OutOfPlaceMapper>> OutOfPlaceMapper::RecoverFromDevice(
     flash::FlashDevice* device, std::vector<DieId> dies,
     uint64_t logical_pages, const MapperOptions& options, SimTime issue,
     SimTime* complete) {
+  return Recover(device, std::move(dies), logical_pages, options, issue,
+                 complete, /*via_checkpoint=*/true);
+}
+
+Result<std::unique_ptr<OutOfPlaceMapper>>
+OutOfPlaceMapper::DebugRecoverByFullScan(flash::FlashDevice* device,
+                                         std::vector<DieId> dies,
+                                         uint64_t logical_pages,
+                                         const MapperOptions& options,
+                                         SimTime issue, SimTime* complete) {
+  return Recover(device, std::move(dies), logical_pages, options, issue,
+                 complete, /*via_checkpoint=*/false);
+}
+
+Result<std::unique_ptr<OutOfPlaceMapper>> OutOfPlaceMapper::Recover(
+    flash::FlashDevice* device, std::vector<DieId> dies,
+    uint64_t logical_pages, const MapperOptions& options, SimTime issue,
+    SimTime* complete, bool via_checkpoint) {
   auto mapper = std::unique_ptr<OutOfPlaceMapper>(
       new OutOfPlaceMapper(device, std::move(dies), logical_pages, options));
   // Hold the fresh mapper's latch for the whole rebuild. The mapper is not
   // published yet, but the rebuild drives the same REQUIRES(mu_) helpers and
   // direct member writes as normal operation — running them unlatched was
   // exactly the kind of hole this annotation pass exists to close.
-  RecursiveMutexLock rebuild_lock(mapper->mu_);
+  MutexLock rebuild_lock(mapper->mu_);
   const auto& geo = device->geometry();
   SimTime done = issue;
 
@@ -1939,7 +1900,7 @@ Result<std::unique_ptr<OutOfPlaceMapper>> OutOfPlaceMapper::RecoverFromDevice(
   bool from_ckpt = false;
   uint64_t epoch_hint = 0;
   if (mapper->ckpt_ != nullptr) {
-    if (options.recover_via_checkpoint) {
+    if (via_checkpoint) {
       auto loaded = mapper->ckpt_->LoadNewest(issue, &done, &epoch_hint);
       if (loaded.ok() && loaded->logical_pages == logical_pages &&
           loaded->dies == mapper->dies_) {
@@ -2236,16 +2197,16 @@ Status OutOfPlaceMapper::WriteCheckpointInternal(SimTime issue,
   }
   CheckpointImage img = BuildCheckpointImage();
   // Write a delta instead of a full image when a valid full base exists on
-  // flash, the dirty set is small enough to be worth it, and there is a
-  // second slot to put the delta in (a delta in its base's slot would erase
-  // the very image it overlays). Deltas are cumulative since the *base* —
-  // overwriting an older delta with a newer one keeps the chain length at
-  // exactly base + newest delta.
-  bool incr = options_.incremental_checkpoints && ckpt_->slots() > 1 &&
-              base_full_epoch_ != 0 &&
-              newest_valid_ckpt_epoch_ >= base_full_epoch_ &&
-              dirty_count_ * 100 <=
-                  logical_pages_ * options_.incr_checkpoint_max_dirty_pct;
+  // flash, the dirty set is small enough to be worth it, and there are
+  // enough slots to keep base, newest delta and the slot being written
+  // apart (kMinDeltaCheckpointSlots). Deltas are cumulative since the
+  // *base* — overwriting an older delta with a newer one keeps the chain
+  // length at exactly base + newest delta.
+  const bool incr = ckpt_->slots() >= kMinDeltaCheckpointSlots &&
+                    base_full_epoch_ != 0 &&
+                    newest_valid_ckpt_epoch_ >= base_full_epoch_ &&
+                    dirty_count_ * 100 <=
+                        logical_pages_ * kIncrCheckpointMaxDirtyPct;
   // Never target a load-bearing slot: the one holding the newest *valid*
   // checkpoint, and — while an on-flash delta (or the one about to be
   // written) depends on it — the slot holding the base full image. In
@@ -2263,15 +2224,6 @@ Status OutOfPlaceMapper::WriteCheckpointInternal(SimTime issue,
     if (base_full_epoch_ != 0 &&
         (incr || newest_valid_ckpt_epoch_ > base_full_epoch_)) {
       base_slot = base_full_epoch_ % slots;
-    }
-    if (base_slot != newest_slot && slots == 2) {
-      // Both slots are load-bearing (full base in one, newest delta in the
-      // other): a delta has nowhere safe to land, so write a full — it
-      // takes the base slot and supersedes the chain. A crash mid-write
-      // tears both chain and full, and recovery falls back to the OOB
-      // scan: a recovery-time cost, never a correctness one.
-      incr = false;
-      base_slot = newest_slot;
     }
     while (img.epoch % slots == newest_slot ||
            img.epoch % slots == base_slot) {
@@ -2331,14 +2283,14 @@ Status OutOfPlaceMapper::WriteCheckpointInternal(SimTime issue,
 }
 
 Status OutOfPlaceMapper::WriteCheckpoint(SimTime issue, SimTime* complete) {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   return WriteCheckpointInternal(issue, ~0ull, complete);
 }
 
 Status OutOfPlaceMapper::DebugWriteTornCheckpoint(SimTime issue,
                                                   uint64_t max_pages,
                                                   SimTime* complete) {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   if (ckpt_ == nullptr) {
     return Status::InvalidArgument("checkpointing disabled");
   }
@@ -2360,7 +2312,7 @@ void OutOfPlaceMapper::MaybeAutoCheckpoint(uint64_t new_writes, SimTime now) {
 }
 
 double OutOfPlaceMapper::AvgEraseCount() const {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   uint64_t sum = 0;
   uint64_t n = 0;
   const auto& geo = device_->geometry();
@@ -2374,7 +2326,7 @@ double OutOfPlaceMapper::AvgEraseCount() const {
 }
 
 Status OutOfPlaceMapper::VerifyIntegrity() const {
-  RecursiveMutexLock lock(mu_);
+  MutexLock lock(mu_);
   const auto& geo = device_->geometry();
   const uint32_t P = pages_per_block_;
 

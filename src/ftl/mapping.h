@@ -56,9 +56,9 @@ enum class VictimPolicy : uint8_t {
   kCostBenefit = 1,  ///< Kawaguchi-style (1-u)/(2u) * age
 };
 
-/// How victim candidates are indexed. kBuckets is the production setting;
-/// kLinearScan keeps the original scan-every-block baseline for A/B
-/// benchmarking and regression tests.
+/// How victim candidates are indexed. GC always picks through kBuckets;
+/// kLinearScan is the scan-every-block reference that DebugPickVictim runs
+/// on the same mapper state (regression tests, bench_gc_victim).
 enum class VictimIndex : uint8_t {
   kBuckets = 0,     ///< segregated valid-count buckets, O(1) greedy pick
   kLinearScan = 1,  ///< O(blocks_per_die) scan per pick (baseline)
@@ -76,22 +76,18 @@ struct MapperOptions {
   /// for a full victim reclamation.
   uint32_t gc_quantum_pages = 4;
   VictimPolicy victim_policy = VictimPolicy::kGreedy;
-  VictimIndex victim_index = VictimIndex::kBuckets;
   /// Allocate least-erased free blocks first (dynamic wear leveling).
   bool dynamic_wear_leveling = true;
   /// On-flash mapper checkpointing: number of checkpoint slots carved out
   /// of the top of every die (0 = disabled). Two or more slots keep the
   /// previous checkpoint intact while the next one is written, so a crash
   /// mid-checkpoint falls back to the older epoch, then to the full scan.
+  /// With three or more slots, checkpoints after a full image are deltas
+  /// (see OutOfPlaceMapper::WriteCheckpoint).
   uint32_t checkpoint_slots = 0;
   /// Write a checkpoint automatically every this many host writes
   /// (0 = only explicit WriteCheckpoint calls). Atomic-batch pages count.
   uint64_t checkpoint_interval_writes = 0;
-  /// Recovery path: load the newest valid checkpoint and delta-scan only
-  /// blocks the device mutated since (falls back to a full scan when no
-  /// checkpoint validates). Disable to force the full scan — recovery then
-  /// still respects the reserved checkpoint blocks (A/B comparisons).
-  bool recover_via_checkpoint = true;
   /// Transient-read-failure retry policy: total attempts per read (initial
   /// attempt included); retry i is issued read_retry_backoff_us * i after
   /// the failed attempt completes. Read-health scrubs queued by the failed
@@ -121,16 +117,6 @@ struct MapperOptions {
   /// ever drawn. Shared across every mapper of a database (one global
   /// commit order); must outlive the mapper.
   mvcc::VersionHorizon* snapshots = nullptr;
-  /// Incremental checkpoints: when a full-image checkpoint exists on flash
-  /// and few lpns changed since, write only the dirty {lpn, addr, version}
-  /// triples (plus a reference to the base epoch) instead of the whole L2P.
-  /// Recovery resolves the chain transparently. Off by default — the
-  /// on-flash format stays byte-identical to prior builds.
-  bool incremental_checkpoints = false;
-  /// Promote an incremental checkpoint to a full image once more than this
-  /// percentage of the logical space is dirty relative to the base (an
-  /// incremental near the full size costs more than it saves).
-  uint32_t incr_checkpoint_max_dirty_pct = 50;
 };
 
 /// Per-mapper operation counters (the device also keeps global ones; these
@@ -206,15 +192,14 @@ struct MapperStats {
 
 /// Page-level out-of-place mapper over an explicit set of dies.
 ///
-/// Thread-safe: every public operation takes the mapper latch (one recursive
-/// mutex per mapper — per-region under NoFTL, so concurrency shards
-/// naturally with the region/shard layout). Completion callbacks fire while
-/// the latch is held; they may re-enter the same mapper from the same thread
-/// (the latch is recursive) but must not touch a *different* mapper that
-/// could simultaneously be waiting on this one (the stack's lock hierarchy —
-/// buffer pool → tablespace → shard space → mapper → device — never does).
-/// The `Debug*` introspection accessors that return plain fields are exempt
-/// and remain single-thread test aids.
+/// Thread-safe: every public operation takes the mapper latch exactly once
+/// (one plain mutex per mapper — per-region under NoFTL, so concurrency
+/// shards naturally with the region/shard layout). No foreign code runs
+/// under it: reaping fills completion slots and returns, and where one
+/// operation drives another (SubmitBatch's trims, its no-ticket reap) it
+/// calls the private *Locked body, as the device does. A thread never holds
+/// two mappers at once. The `Debug*` introspection accessors that return
+/// plain fields are exempt and remain single-thread test aids.
 class OutOfPlaceMapper {
  public:
   static constexpr uint64_t kUnmappedLpn = ~0ull;
@@ -235,12 +220,12 @@ class OutOfPlaceMapper {
   uint64_t logical_pages() const { return logical_pages_; }
   uint64_t physical_pages() const;
   size_t die_count() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return dies_.size();
   }
   /// Snapshot of the die set (copied: AddDie/RemoveDie reshape it).
   std::vector<flash::DieId> dies() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return dies_;
   }
 
@@ -272,7 +257,7 @@ class OutOfPlaceMapper {
   /// Enqueue a batch: process `requests` in submission order, all issued at
   /// `issue`, and return a ticket immediately — the caller's clock does not
   /// advance and the per-request completion slots stay empty until the batch
-  /// is reaped with WaitBatch/PollCompletions. Reads are translated now
+  /// is reaped with WaitBatch. Reads are translated now
   /// (reads never change the mapping, so up-front translation equals
   /// translating each at its turn) and enter the device's per-die submission
   /// queues, where requests on distinct dies overlap; writes and trims take
@@ -284,23 +269,16 @@ class OutOfPlaceMapper {
   Status SubmitBatch(storage::IoRequest* requests, size_t count, SimTime issue,
                      flash::OpOrigin origin, storage::IoTicket* ticket);
 
-  /// Reap every request of `ticket` (requests retire in submission order,
-  /// firing their callbacks): fills the completion slots and, if non-null,
-  /// `*complete` with the batch finish time (max over successful requests,
-  /// at least the issue time). The caller commits to waiting until that
-  /// time. No-op for an unknown or already-reaped ticket.
+  /// Reap every request of `ticket` in submission order: fills the
+  /// completion slots and, if non-null, `*complete` with the batch finish
+  /// time (max over successful requests, at least the issue time). The
+  /// caller commits to waiting until that time. No-op for an unknown or
+  /// already-reaped ticket.
   Status WaitBatch(storage::IoTicket ticket, SimTime* complete);
-
-  /// Reap every queued request — across all in-flight batches — that has
-  /// retired by simulated time `until`, in retirement order (completion
-  /// time, ties in submission order). Returns the number retired. A batch
-  /// whose last request retires here is released; a later WaitBatch on its
-  /// ticket is a no-op.
-  size_t PollCompletions(SimTime until);
 
   /// In-flight (submitted, not fully reaped) batches.
   size_t PendingBatches() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return inflight_.size();
   }
 
@@ -350,7 +328,7 @@ class OutOfPlaceMapper {
 
   /// Retained superseded copies currently held for live snapshots.
   uint64_t retained_versions() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return retained_count_;
   }
 
@@ -421,8 +399,8 @@ class OutOfPlaceMapper {
   Status AddDie(flash::DieId die);
 
   /// Rebuild a mapper from the device (NoFTL's recoverable address
-  /// translation). With checkpointing enabled (and recover_via_checkpoint),
-  /// the newest valid on-flash checkpoint is loaded first and only blocks
+  /// translation). With checkpointing enabled, the newest valid on-flash
+  /// checkpoint is loaded first and only blocks
   /// the device mutated since the snapshot are rescanned — each die's OOB
   /// reads run as an independent stream, so the scan finishes in the max,
   /// not the sum, of the per-die scan times. Otherwise every programmed
@@ -451,10 +429,23 @@ class OutOfPlaceMapper {
       uint64_t logical_pages, const MapperOptions& options, SimTime issue,
       SimTime* complete);
 
+  /// Test/bench hook: RecoverFromDevice with the checkpoint ignored — the
+  /// full OOB scan that delta recovery must match. The reserved checkpoint
+  /// blocks stay reserved and their epoch hint is still read, so later
+  /// checkpoints keep monotonic epochs.
+  static Result<std::unique_ptr<OutOfPlaceMapper>> DebugRecoverByFullScan(
+      flash::FlashDevice* device, std::vector<flash::DieId> dies,
+      uint64_t logical_pages, const MapperOptions& options, SimTime issue,
+      SimTime* complete);
+
   // --- Checkpointing (options().checkpoint_slots > 0) ---
 
   /// Serialize the mapper's recoverable state (L2P, versions, batch
-  /// counters, pending scrubs) into the next checkpoint slot. Quiesces
+  /// counters, pending scrubs) into the next checkpoint slot: a full image,
+  /// or — with at least kMinDeltaCheckpointSlots slots, once a full base
+  /// exists on flash and at most kIncrCheckpointMaxDirtyPct percent of the
+  /// lpns changed since — a delta of only the dirty {lpn, addr, version}
+  /// triples chained to that base (recovery resolves the chain). Quiesces
   /// half-reclaimed GC victims first so no stale same-version copy can
   /// linger in a block the delta scan would skip. No-op when checkpointing
   /// is disabled; a failed write leaves older epochs intact.
@@ -468,39 +459,49 @@ class OutOfPlaceMapper {
 
   /// Epoch of the newest checkpoint written (or adopted at recovery).
   uint64_t checkpoint_epoch() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return checkpoint_epoch_;
   }
   /// Blocks per die reserved for checkpoint slots (0 when disabled).
   uint32_t reserved_blocks_per_die() const { return reserved_per_die_; }
 
+  /// A delta checkpoint is promoted to a full image once more than this
+  /// percentage of the logical space is dirty relative to the base (a delta
+  /// near the full size costs more than it saves).
+  static constexpr uint64_t kIncrCheckpointMaxDirtyPct = 50;
+  /// Deltas need a third slot: the base and the newest delta are both
+  /// load-bearing, and the next write must land on neither so that a crash
+  /// mid-write still leaves a valid chain. With two slots every checkpoint
+  /// is a full image.
+  static constexpr uint32_t kMinDeltaCheckpointSlots = 3;
+
   // --- Introspection (tests, equivalence checks) ---
 
   uint64_t next_batch_id() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return next_batch_id_;
   }
   uint64_t committed_batches() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return committed_batches_;
   }
   size_t pending_scrub_count() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return pending_scrubs_.size();
   }
   /// Blocks awaiting a read-health scrub (disturb / hard read failure).
   size_t read_scrub_queue() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return read_scrubs_.size();
   }
   /// Per-lpn write-version counter (~0 if lpn out of range).
   uint64_t DebugVersionOf(uint64_t lpn) const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return lpn < logical_pages_ ? versions_[lpn] : ~0ull;
   }
   /// Current translation of `lpn` (die == kUnmappedDie when unmapped).
   flash::PhysAddr DebugTranslate(uint64_t lpn) const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return lpn < logical_pages_ ? l2p_[lpn]
                                 : flash::PhysAddr{kUnmappedDie, 0, 0};
   }
@@ -510,12 +511,12 @@ class OutOfPlaceMapper {
 
   /// Blocks retired by bad-block management (program/erase failures).
   uint64_t retired_blocks() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return retired_blocks_;
   }
   /// Total valid (live) pages.
   uint64_t valid_pages() const {
-    RecursiveMutexLock lock(mu_);
+    MutexLock lock(mu_);
     return total_valid_;
   }
   /// Total free (erased, allocatable) pages across free blocks and the
@@ -534,9 +535,11 @@ class OutOfPlaceMapper {
 
   /// Run victim selection on `die` with the given index structure without
   /// touching stats or the GC state machine (bench/regression aid: lets a
-  /// test compare the bucket pick against the linear-scan baseline on the
-  /// same mapper state).
-  uint32_t DebugPickVictim(flash::DieId die, SimTime now, VictimIndex index);
+  /// test compare the bucket pick against the linear-scan reference on the
+  /// same mapper state). Blocks/buckets examined are added to `*steps` if
+  /// non-null.
+  uint32_t DebugPickVictim(flash::DieId die, SimTime now, VictimIndex index,
+                           uint64_t* steps = nullptr);
 
   /// Valid-page count of one block (test aid); ~0u if the die is not part
   /// of this mapper or the block is out of range.
@@ -669,15 +672,19 @@ class OutOfPlaceMapper {
   /// Write admission at public kHost entries, called before taking the
   /// latch (it must not sleep under it): passes while any die is clear of
   /// its throttle; otherwise waits up to throttle_wait_us for the attached
-  /// background reclaimer, then fails with Busy. A re-entrant caller that
-  /// already holds the latch fails fast instead of waiting — sleeping would
-  /// stall the very reclaimer it waits for.
+  /// background reclaimer, then fails with Busy.
   Status AdmitHostWrite();
 
   /// Body of Write(), sans admission/latch: SubmitBatch drives it directly
   /// for its kWrite requests (the batch was admitted once at entry).
   Status WriteLocked(uint64_t lpn, SimTime issue, flash::OpOrigin origin,
                      const char* data, uint32_t object_id, SimTime* complete)
+      REQUIRES(mu_);
+
+  /// Bodies of Trim() and WaitBatch(), for SubmitBatch's trim requests and
+  /// its no-ticket reap.
+  Status TrimLocked(uint64_t lpn) REQUIRES(mu_);
+  Status WaitBatchLocked(storage::IoTicket ticket, SimTime* complete)
       REQUIRES(mu_);
 
   /// Ensure the die has a host-active block with a free page; may run GC.
@@ -877,8 +884,8 @@ class OutOfPlaceMapper {
   // --- Incremental-checkpoint internals ---
 
   /// Record that `lpn`'s recoverable state (mapping or version) changed
-  /// since the last full checkpoint image. No-op unless incremental
-  /// checkpoints are enabled.
+  /// since the last full checkpoint image. No-op unless delta checkpoints
+  /// are possible (kMinDeltaCheckpointSlots).
   void MarkDirtyLpn(uint64_t lpn) REQUIRES(mu_);
 
   // --- Checkpointing internals (slot layout and serialization live in
@@ -906,31 +913,29 @@ class OutOfPlaceMapper {
     SimTime complete = 0;
     uint64_t read_seq = 0;   ///< snapshot sequence of the read (0 = latest)
     bool host_read = false;  ///< count stats_.host_reads when it retires OK
-    bool retired = false;
   };
 
   struct PendingBatch {
     storage::IoTicket id = 0;
     SimTime issue = 0;
     SimTime done = 0;  ///< max successful completion so far (>= issue)
-    size_t remaining = 0;
     flash::OpOrigin origin = flash::OpOrigin::kHost;
     std::vector<PendingIo> ios;
   };
 
-  /// Completion time of an unretired entry (peeks the device CQ for reads).
-  SimTime PendingCompleteTime(const PendingIo& io) const REQUIRES(mu_);
   /// Deliver one entry: resolve (device reap if queued), fill the request's
-  /// completion slots, update stats and the batch's done time, fire the
-  /// callback.
+  /// completion slots, update stats and the batch's done time.
   void RetireIo(PendingBatch* batch, PendingIo* io) REQUIRES(mu_);
 
-  /// Mapper latch (see class comment). Recursive — genuinely: WaitBatch /
-  /// PollCompletions fire callbacks under it that may re-enter this mapper
-  /// on the same thread, and SubmitBatch drives the single-page Write/Trim
-  /// paths while already holding it. LockRank::kMapper, which allows
-  /// same-rank holds for exactly this reason.
-  mutable RecursiveMutex mu_{LockRank::kMapper};
+  /// Shared body of RecoverFromDevice / DebugRecoverByFullScan.
+  static Result<std::unique_ptr<OutOfPlaceMapper>> Recover(
+      flash::FlashDevice* device, std::vector<flash::DieId> dies,
+      uint64_t logical_pages, const MapperOptions& options, SimTime issue,
+      SimTime* complete, bool via_checkpoint);
+
+  /// Mapper latch (see class comment): a plain mutex at LockRank::kMapper,
+  /// taken once per public entry and never re-entered.
+  mutable Mutex mu_{LockRank::kMapper};
 
   flash::FlashDevice* device_;
   std::vector<flash::DieId> dies_ GUARDED_BY(mu_);

@@ -47,9 +47,9 @@ class PageMappingFtl {
 
   /// Queued submission (NVMe-style queue pair): every request enters the
   /// device at `issue`, cross-die requests overlap, and the caller reaps
-  /// completions with WaitBatch/PollCompletions — computation between
-  /// submit and reap overlaps with the in-flight flash work. Object ids are
-  /// discarded (invisible below the block interface) and atomic batches
+  /// completions with WaitBatch — computation between submit and reap
+  /// overlaps with the in-flight flash work. Object ids are discarded
+  /// (invisible below the block interface) and atomic batches
   /// route through the mapper's atomic-batch machinery — the one piece of
   /// semantics a block device can still offer without knowing what the data
   /// is.
@@ -57,9 +57,6 @@ class PageMappingFtl {
                      storage::IoTicket* ticket);
   Status WaitBatch(storage::IoTicket ticket, SimTime* complete) {
     return mapper_->WaitBatch(ticket, complete);
-  }
-  size_t PollCompletions(SimTime until) {
-    return mapper_->PollCompletions(until);
   }
   Status RunBatch(storage::IoBatch* batch, SimTime issue, SimTime* complete) {
     storage::IoTicket ticket = 0;

@@ -73,8 +73,8 @@ class Region {
   /// and return a ticket immediately (write requests carry their owning
   /// object id). Same-die requests queue FIFO, cross-die requests proceed
   /// in parallel; completion slots are filled only when the caller reaps
-  /// via WaitBatch/PollCompletions, so computation between submit and reap
-  /// overlaps with the in-flight flash work. An atomic batch (writes only)
+  /// via WaitBatch, so computation between submit and reap overlaps with
+  /// the in-flight flash work. An atomic batch (writes only)
   /// routes through WriteAtomic and installs all-or-nothing at submit (the
   /// commit decision cannot wait), with its completions delivered at reap;
   /// a failed atomic submission returns the error with the slots filled and
@@ -87,11 +87,6 @@ class Region {
   /// time). No-op for an unknown/already-reaped ticket.
   Status WaitBatch(storage::IoTicket ticket, SimTime* complete) {
     return mapper_->WaitBatch(ticket, complete);
-  }
-
-  /// Reap every request retired by `until` across in-flight batches.
-  size_t PollCompletions(SimTime until) {
-    return mapper_->PollCompletions(until);
   }
 
   /// Call-and-resolve convenience: submit + wait in one step.

@@ -140,9 +140,9 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
 
   // Graceful degradation: a shard past its hard-fault budget still serves
   // reads (data stays salvageable) but refuses mutations. Blocked requests
-  // fail in place with Status::ReadOnly — slots filled, callbacks fired —
-  // and the rest of the batch proceeds. An atomic batch is all-or-nothing,
-  // so one blocked write rejects the whole submission.
+  // fail in place with Status::ReadOnly (slots filled below, at scatter) and
+  // the rest of the batch proceeds. An atomic batch is all-or-nothing, so
+  // one blocked write rejects the whole submission.
   bool any_blocked = false;
   for (const IoRequest& r : batch->requests()) {
     if (r.op != storage::IoOp::kRead && degraded_[ShardOf(r.lpn)]) {
@@ -157,129 +157,107 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
     batch->FailAll(s);
     return s;
   }
-  if (any_blocked) {
-    for (IoRequest& r : batch->requests()) {
-      const size_t s = ShardOf(r.lpn);
-      if (r.op == storage::IoOp::kRead || !degraded_[s]) continue;
-      stats_.degraded_rejected_writes++;
-      r.status = Status::ReadOnly("shard " + std::to_string(s) +
-                                  " degraded to read-only");
-      r.complete = issue;
-      r.done = true;
-      if (r.on_complete) r.on_complete(r);
-    }
-  }
 
-  auto merged = std::make_unique<Merged>();
-  merged->id = next_ticket_++;
-  merged->issue = issue;
-  merged->parent = batch;
+  Merged merged;
+  merged.issue = issue;
+  merged.parent = batch;
 
   if (all_shard0 && !any_blocked) {
     // Passthrough: shard-0 local lpns equal the encoded lpns, so the
     // caller's batch goes down untouched — a 1-shard ShardedSpace is
     // operation-for-operation the unsharded stack.
-    merged->passthrough = true;
+    merged.passthrough = true;
     Status s =
-        shards_[0]->SubmitBatch(batch, issue, &merged->passthrough_ticket);
+        shards_[0]->SubmitBatch(batch, issue, &merged.passthrough_ticket);
     if (!s.ok()) return s;  // slots already delivered by the backend
     stats_.passthrough_batches++;
     stats_.requests_per_shard[0] += batch->size();
-    *ticket = merged->id;
-    {
-      MutexLock lock(mu_);
-      pending_[merged->id] = std::move(merged);
-    }
+    *ticket = next_ticket_++;
+    MutexLock lock(mu_);
+    pending_.emplace(*ticket, std::move(merged));
     return Status::OK();
   }
 
   // Scatter: mirror each request into its shard's sub-batch (same relative
-  // order, so same-shard FIFO is preserved), with an on_complete that copies
-  // the completion slots back into the caller's request and fires its
-  // callback at the moment the sub-request retires.
-  std::vector<SubBatch*> by_shard(shards_.size(), nullptr);
+  // order, so same-shard FIFO is preserved) and remember its parent, whose
+  // slots the reap fills from the mirror's.
+  std::vector<size_t> sub_of(shards_.size(), SIZE_MAX);
   for (IoRequest& r : batch->requests()) {
-    if (r.done) continue;  // already failed above (degraded shard)
     const size_t s = ShardOf(r.lpn);
-    if (by_shard[s] == nullptr) {
-      merged->subs.push_back(std::make_unique<SubBatch>());
-      merged->subs.back()->shard = s;
-      by_shard[s] = merged->subs.back().get();
+    if (r.op != storage::IoOp::kRead && degraded_[s]) {
+      stats_.degraded_rejected_writes++;
+      r.status = Status::ReadOnly("shard " + std::to_string(s) +
+                                  " degraded to read-only");
+      r.complete = issue;
+      r.done = true;
+      continue;
     }
-    IoBatch& sub = by_shard[s]->batch;
+    if (sub_of[s] == SIZE_MAX) {
+      sub_of[s] = merged.subs.size();
+      merged.subs.emplace_back().shard = s;
+    }
+    SubBatch& sub = merged.subs[sub_of[s]];
     const uint64_t local = LocalOf(r.lpn);
-    IoRequest* mirror = nullptr;
     switch (r.op) {
       case storage::IoOp::kRead:
-        mirror = &sub.AddRead(local, r.read_buf);
-        mirror->read_seq = r.read_seq;
+        sub.batch.AddRead(local, r.read_buf).read_seq = r.read_seq;
         break;
       case storage::IoOp::kWrite:
-        mirror = &sub.AddWrite(local, r.write_data, r.object_id);
+        sub.batch.AddWrite(local, r.write_data, r.object_id);
         break;
       case storage::IoOp::kTrim:
-        mirror = &sub.AddTrim(local);
+        sub.batch.AddTrim(local);
         break;
     }
-    IoRequest* parent = &r;
-    Merged* owner = merged.get();
-    mirror->on_complete = [parent, owner](const IoRequest& done_req) {
-      parent->status = done_req.status;
-      parent->complete = done_req.complete;
-      parent->done = true;
-      if (parent->on_complete) parent->on_complete(*parent);
-      owner->callbacks_returned.fetch_add(1, std::memory_order_release);
-    };
-    merged->mirrors++;
+    sub.parents.push_back(&r);
     stats_.requests_per_shard[s]++;
     stats_.scatter_requests++;
   }
   if (batch->atomic()) {
-    assert(merged->subs.size() == 1);
-    merged->subs[0]->batch.set_atomic(true);
+    assert(merged.subs.size() == 1);
+    merged.subs[0].batch.set_atomic(true);
   }
 
   // Submit every sub-batch before waiting on any; the shards' own queues
-  // overlap from here on. A rejected sub-submission has already delivered
-  // its slots (through the mirrors' callbacks); deliver everything else too
-  // and yield no ticket, per the rejected-submission contract.
+  // overlap from here on. A rejected sub-submission yields no ticket: reap
+  // what was submitted, deliver every slot (rejected-submission contract)
+  // and return the error.
   Status submit_error;
-  size_t submitted = 0;
-  for (auto& sub : merged->subs) {
-    if (!submit_error.ok()) {
-      sub->batch.FailAll(submit_error);
-      continue;
-    }
-    Status s = shards_[sub->shard]->SubmitBatch(&sub->batch, issue,
-                                                &sub->ticket);
-    if (!s.ok()) {
-      submit_error = s;
-      continue;
-    }
-    submitted++;
+  for (SubBatch& sub : merged.subs) {
+    if (!submit_error.ok()) break;
+    submit_error =
+        shards_[sub.shard]->SubmitBatch(&sub.batch, issue, &sub.ticket);
   }
   if (!submit_error.ok()) {
-    for (size_t i = 0; i < submitted; i++) {
-      SubBatch& sub = *merged->subs[i];
-      (void)shards_[sub.shard]->WaitBatch(sub.ticket, nullptr);
+    for (SubBatch& sub : merged.subs) {
+      if (sub.ticket != 0) {
+        (void)shards_[sub.shard]->WaitBatch(sub.ticket, nullptr);
+      }
+      DeliverMirrors(sub, submit_error);
     }
     return submit_error;
   }
   stats_.merged_batches++;
-  *ticket = merged->id;
-  {
-    MutexLock lock(mu_);
-    pending_[merged->id] = std::move(merged);
-  }
+  *ticket = next_ticket_++;
+  MutexLock lock(mu_);
+  pending_.emplace(*ticket, std::move(merged));
   return Status::OK();
 }
 
+void ShardedSpace::DeliverMirrors(const SubBatch& sub, const Status& error) {
+  for (size_t i = 0; i < sub.parents.size(); i++) {
+    const IoRequest& mirror = sub.batch[i];
+    IoRequest* parent = sub.parents[i];
+    parent->status = mirror.done ? mirror.status : error;
+    parent->complete = mirror.done ? mirror.complete : 0;
+    parent->done = true;
+  }
+}
+
 Status ShardedSpace::WaitBatch(IoTicket ticket, SimTime* complete) {
-  // Detach under the lock before reaping: an on_complete that re-enters this
-  // space (new submissions, polls, waits on other tickets) can never dangle
-  // this entry, and a concurrent WaitBatch/PollCompletions on another thread
-  // can never double-reap it.
-  std::unique_ptr<Merged> m;
+  // Detach under the lock before reaping, so a concurrent WaitBatch on
+  // another thread can never double-reap the entry.
+  Merged m;
   {
     MutexLock lock(mu_);
     auto it = pending_.find(ticket);
@@ -288,54 +266,23 @@ Status ShardedSpace::WaitBatch(IoTicket ticket, SimTime* complete) {
     pending_.erase(it);
   }
 
-  SimTime done = m->issue;
-  if (m->passthrough) {
-    NOFTL_RETURN_IF_ERROR(
-        shards_[0]->WaitBatch(m->passthrough_ticket, nullptr));
+  Status first_error;
+  if (m.passthrough) {
+    first_error = shards_[0]->WaitBatch(m.passthrough_ticket, nullptr);
   } else {
     // The merged batch retires at the max over its shards. Sub-batches are
-    // reaped in shard order; within a shard the backend delivers requests in
+    // reaped in shard order and each shard delivers its requests in
     // submission order, so same-shard FIFO survives the merge.
-    for (auto& sub : m->subs) {
-      NOFTL_RETURN_IF_ERROR(shards_[sub->shard]->WaitBatch(sub->ticket,
-                                                           nullptr));
+    for (SubBatch& sub : m.subs) {
+      Status s = shards_[sub.shard]->WaitBatch(sub.ticket, nullptr);
+      DeliverMirrors(sub, s);
+      if (first_error.ok()) first_error = s;
     }
   }
-  // Completion slots are authoritative (a sub-batch may have been drained by
-  // an earlier PollCompletions, in which case its WaitBatch was a no-op).
-  done = std::max(done, m->parent->MaxComplete());
-  if (complete != nullptr) *complete = done;
-  return Status::OK();
-}
-
-size_t ShardedSpace::PollCompletions(SimTime until) {
-  // Poll the shards with mu_ released: callbacks fire here and may re-enter
-  // this space (submit, wait, even poll again).
-  size_t retired = 0;
-  for (auto* s : shards_) retired += s->PollCompletions(until);
-  // Release merged batches whose every callback has returned (another
-  // thread may still be inside one). Extract them under the lock, destroy
-  // them outside it (the Merged dtor frees the sub-batches but fires no
-  // callbacks; keeping destruction out of the critical section is still
-  // cheaper for concurrent submitters).
-  std::vector<std::unique_ptr<Merged>> drained;
-  {
-    MutexLock lock(mu_);
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (Delivered(*it->second)) {
-        drained.push_back(std::move(it->second));
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  if (complete != nullptr) {
+    *complete = std::max(m.issue, m.parent->MaxComplete());
   }
-  return retired;
-}
-
-bool ShardedSpace::Delivered(const Merged& m) const {
-  if (m.passthrough) return m.parent->AllDone();
-  return m.callbacks_returned.load() == m.mirrors;
+  return first_error;
 }
 
 }  // namespace noftl::shard

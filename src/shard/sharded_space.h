@@ -23,24 +23,25 @@
 // so placement is a performance decision, never a correctness one.
 //
 // SubmitBatch scatters a batch into per-shard sub-batches, submits them all
-// before waiting on any, and returns ONE merged ticket whose WaitBatch /
-// PollCompletions / on_complete semantics match a single device: the batch
-// retires at the max over shards, per-request completion slots are filled at
-// the reap, and same-shard requests keep their submission-order FIFO. A
+// before waiting on any, and returns ONE merged ticket whose WaitBatch
+// matches a single device: the batch retires at the max over shards, the
+// parent's completion slots are filled at the reap (each shard's sub-batch is
+// reaped, then its mirrored slots are copied back to their parent requests),
+// and same-shard requests keep their submission-order FIFO. A
 // batch whose requests all live on shard 0 (notably: every batch of a
 // 1-shard space) is passed through untouched, so a 1-shard ShardedSpace is
 // operation-for-operation identical to the unsharded stack. Atomic batches
 // are single-shard by construction of the paper's mechanism (one mapper
 // stamps the batch); a cross-shard atomic submission is cleanly rejected
 // with every slot failed and no ticket.
-// Thread safety: N workers may submit, wait and poll concurrently. The
-// ticket map is guarded by `mu_`; sub-shard Submit/Wait/Poll calls happen
-// with `mu_` released (the shards have their own latches, and completion
-// callbacks may re-enter this space). Ticket issue and the stats/degraded
-// flags are lock-free atomics, and the placement-hint override is
-// thread-local so one loader thread's pin never leaks into another's
-// allocation. In the default single-thread mode every code path is
-// byte-identical to the unlatched stack.
+// Thread safety: N workers may submit and wait concurrently; each merged
+// ticket is reaped by one caller. The ticket map is guarded by `mu_`, which
+// WaitBatch takes only to detach its entry; sub-shard Submit/Wait calls
+// happen with `mu_` released (the shards have their own latches). Ticket
+// issue and the stats/degraded flags are lock-free atomics, and the
+// placement-hint override is thread-local so one loader thread's pin never
+// leaks into another's allocation. In the default single-thread mode every
+// code path is byte-identical to the unlatched stack.
 #pragma once
 
 #include <cstdint>
@@ -138,7 +139,6 @@ class ShardedSpace : public storage::SpaceProvider {
   Status SubmitBatch(storage::IoBatch* batch, SimTime issue,
                      storage::IoTicket* ticket) override;
   Status WaitBatch(storage::IoTicket ticket, SimTime* complete) override;
-  size_t PollCompletions(SimTime until) override;
 
   /// Merged batches submitted but not fully reaped.
   size_t PendingBatches() const {
@@ -147,34 +147,33 @@ class ShardedSpace : public storage::SpaceProvider {
   }
 
  private:
-  /// One per-shard sub-batch of a scattered submission. The IoBatch owns the
-  /// mirrored requests the backend holds pointers into; unique_ptr keeps its
-  /// address stable while the pending map changes.
+  /// One per-shard sub-batch of a scattered submission: the mirrored
+  /// requests (shard-local lpns) and, index for index, the parent request
+  /// each mirror stands for. The backend holds pointers into the mirrors'
+  /// heap buffer, which moving the SubBatch leaves in place.
   struct SubBatch {
     size_t shard = 0;
     storage::IoBatch batch;
+    std::vector<storage::IoRequest*> parents;
     storage::IoTicket ticket = 0;
   };
 
   struct Merged {
-    storage::IoTicket id = 0;
     SimTime issue = 0;
     /// All requests live on shard 0: the caller's batch went down untouched.
     bool passthrough = false;
     storage::IoTicket passthrough_ticket = 0;
     /// The caller's batch; alive until reaped (SpaceProvider contract).
     storage::IoBatch* parent = nullptr;
-    std::vector<std::unique_ptr<SubBatch>> subs;
-    /// Mirrored requests across `subs`, and how many of their callbacks
-    /// have returned. A sub-request is marked `done` before its callback
-    /// runs (and the callback still reads it), so only this count says no
-    /// thread references the sub-batches and the Merged may be freed.
-    size_t mirrors = 0;
-    Relaxed<size_t> callbacks_returned = 0;
+    std::vector<SubBatch> subs;
   };
 
   size_t PickShard(uint64_t key) const REQUIRES(alloc_mu_);
-  bool Delivered(const Merged& m) const;
+  /// Copy a reaped sub-batch's completion slots back to the parent requests
+  /// its mirrors stand for, in submission order. A mirror the shard never
+  /// delivered (a rejected sub-submission that returned before filling its
+  /// slots) fails its parent with `error`.
+  static void DeliverMirrors(const SubBatch& sub, const Status& error);
 
   std::vector<storage::SpaceProvider*> shards_;
   std::vector<Relaxed<uint8_t>> degraded_;
@@ -184,15 +183,11 @@ class ShardedSpace : public storage::SpaceProvider {
   /// (kBackendAlloc); never taken under them.
   mutable Mutex alloc_mu_{LockRank::kShardAlloc};
   size_t stripe_cursor_ GUARDED_BY(alloc_mu_) = 0;
-  /// Guards pending_ only. Sub-shard Submit/Wait/Poll calls run with this
-  /// released: the work (and any completion callbacks) happens inside the
-  /// shard stacks, and a callback may legally re-enter this space.
-  /// LockRank::kShardPending sits ABOVE kMapper for exactly that reason —
-  /// mirror callbacks fire under a shard mapper's latch and take this
-  /// briefly; it is never held across shard calls.
+  /// Guards pending_ only, and is never held across a shard call, so it
+  /// ranks as a leaf (LockRank::kShardPending) and the I/O entry checks
+  /// (NOFTL_ASSERT_NO_UPPER_LATCHES) prove it is released around shard I/O.
   mutable Mutex mu_{LockRank::kShardPending};
-  std::map<storage::IoTicket, std::unique_ptr<Merged>> pending_
-      GUARDED_BY(mu_);
+  std::map<storage::IoTicket, Merged> pending_ GUARDED_BY(mu_);
   Relaxed<storage::IoTicket> next_ticket_ = storage::IoTicket{1};
   ShardedSpaceStats stats_;
 };

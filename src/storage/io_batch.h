@@ -12,10 +12,9 @@
 //
 // The surface is event-driven, NVMe-style: SubmitBatch returns an IoTicket
 // immediately (the caller's clock does not advance), the requests retire on
-// the simulated clock, and the caller reaps either by ticket (WaitBatch),
-// by time (PollCompletions), or through a per-request completion callback
-// (IoRequest::on_complete). Whatever the caller computes between submit and
-// reap overlaps with the in-flight flash work: the wall time of a
+// the simulated clock, and the caller reaps by ticket with WaitBatch — the
+// one reap path. Whatever the caller computes between submit and reap
+// overlaps with the in-flight flash work: the wall time of a
 // submit/compute/reap sequence is max(compute, max-over-dies I/O), not the
 // sum. RunBatch is the call-and-resolve convenience (submit + wait).
 //
@@ -38,10 +37,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "common/atomic_counter.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
 
@@ -58,10 +55,10 @@ enum class IoOp : uint8_t {
 };
 
 /// One request of a batch. The submission fields (op, lpn, buffers,
-/// object_id, on_complete) are set by the caller; the completion slots
-/// (status, complete, done) are filled when the request retires — at
-/// WaitBatch/PollCompletions time, not at submit. The request object and its
-/// buffers must stay alive (and unmoved) until the batch is reaped.
+/// object_id, read_seq) are set by the caller; the completion slots
+/// (status, complete, done) are filled when the batch is reaped by
+/// WaitBatch, not at submit. The request object and its buffers must stay
+/// alive (and unmoved) until the batch is reaped.
 struct IoRequest {
   IoOp op = IoOp::kRead;
   uint64_t lpn = 0;
@@ -72,22 +69,16 @@ struct IoRequest {
   /// Nonzero values route through the mapper's retained version chains so
   /// the read observes the page as of the snapshot (see mvcc/).
   uint64_t read_seq = 0;
-  /// Invoked exactly once when the request retires, after the completion
-  /// slots are filled. Retirement happens inside WaitBatch (requests in
-  /// submission order) or PollCompletions (requests in completion order).
-  std::function<void(const IoRequest&)> on_complete;
 
   // --- Completion slots (valid once done == true) ---
   //
-  // `done` is the cross-thread publication point: under concurrent workers a
-  // sub-request callback (running under one shard's mapper latch) sets the
-  // slots and then `done`, while another thread's PollCompletions checks
-  // `done` to decide whether the batch is deliverable. The release-store /
-  // acquire-load pair in Relaxed<bool> makes `status`/`complete` visible to
-  // whoever observes `done == true`.
+  // Written only by the WaitBatch that reaps the ticket (or by a rejected
+  // submission, which delivers them before returning). One thread reaps a
+  // ticket; whoever reads the slots afterwards is ordered after that reap by
+  // the reaper's return or by the latch that handed the ticket over.
   Status status;
   SimTime complete = 0;
-  Relaxed<bool> done = false;
+  bool done = false;
 };
 
 class IoBatch {
@@ -140,15 +131,14 @@ class IoBatch {
     atomic_ = false;
   }
 
-  /// Deliver `error` to every request immediately (status, done flag,
-  /// callbacks). This is the rejected-submission contract: a submission
-  /// that fails outright yields no ticket, so there is nothing in flight
-  /// for a reap to wait on and the slots must resolve now.
+  /// Deliver `error` to every request immediately (status and done flag).
+  /// This is the rejected-submission contract: a submission that fails
+  /// outright yields no ticket, so there is nothing in flight for a reap to
+  /// wait on and the slots must resolve now.
   void FailAll(const Status& error) {
     for (IoRequest& r : requests_) {
       r.status = error;
       r.done = true;
-      if (r.on_complete) r.on_complete(r);
     }
   }
 

@@ -9,12 +9,12 @@
 // The I/O surface is an event-driven submission/completion queue: SubmitBatch
 // hands N requests to the backend at one issue time and returns a ticket
 // immediately; requests on distinct dies overlap, the batch retires at the
-// max over dies, and the caller reaps with WaitBatch/PollCompletions (or
-// per-request callbacks) — so whatever it computes in between overlaps with
-// the in-flight flash work (see storage/io_batch.h). RunBatch is the
-// call-and-resolve convenience, and the single-page calls are thin wrappers
-// over a one-element RunBatch, kept so existing callers stay
-// source-compatible while hot paths move to submit-early/reap-late.
+// max over dies, and the caller reaps with WaitBatch — the only reap path —
+// so whatever it computes in between overlaps with the in-flight flash work
+// (see storage/io_batch.h). RunBatch is the call-and-resolve convenience,
+// and the single-page calls are thin wrappers over a one-element RunBatch,
+// kept so existing callers stay source-compatible while hot paths move to
+// submit-early/reap-late.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +58,10 @@ class SpaceProvider {
   virtual Status SubmitBatch(IoBatch* batch, SimTime issue,
                              IoTicket* ticket) = 0;
 
-  /// Reap all requests of `ticket`; `*complete` (if non-null) receives the
-  /// batch finish time. No-op for an unknown or already-reaped ticket.
+  /// Reap all requests of `ticket`, filling their completion slots;
+  /// `*complete` (if non-null) receives the batch finish time. No-op for an
+  /// unknown or already-reaped ticket. Exactly one caller reaps a ticket.
   virtual Status WaitBatch(IoTicket ticket, SimTime* complete) = 0;
-
-  /// Reap every request retired by simulated time `until` across this
-  /// provider's in-flight batches; returns the number retired.
-  virtual size_t PollCompletions(SimTime until) = 0;
 
   /// Call-and-resolve convenience: submit + wait in one step.
   Status RunBatch(IoBatch* batch, SimTime issue, SimTime* complete) {
@@ -121,9 +118,6 @@ class RegionSpace : public SpaceProvider {
   }
   Status WaitBatch(IoTicket ticket, SimTime* complete) override {
     return region_->WaitBatch(ticket, complete);
-  }
-  size_t PollCompletions(SimTime until) override {
-    return region_->PollCompletions(until);
   }
 
   region::Region* region() { return region_; }
@@ -204,9 +198,6 @@ class FtlSpace : public SpaceProvider {
   }
   Status WaitBatch(IoTicket ticket, SimTime* complete) override {
     return ftl_->WaitBatch(ticket, complete);
-  }
-  size_t PollCompletions(SimTime until) override {
-    return ftl_->PollCompletions(until);
   }
 
  private:

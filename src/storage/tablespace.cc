@@ -160,9 +160,9 @@ Status Tablespace::SubmitWrites(buffer::PageWriteReq* reqs, size_t count,
 
 Status Tablespace::WaitBatch(buffer::PageIoTicket ticket, SimTime* complete) {
   // Detach the entry under the lock (map node extraction keeps the IoBatch
-  // address stable), then reap with the lock released: the provider wait may
-  // fire callbacks that re-enter this tablespace, and a concurrent wait on
-  // the same ticket must reap exactly once.
+  // address stable), then reap with the lock released: the provider wait
+  // takes the backend latches below this one, and a concurrent wait on the
+  // same ticket must reap exactly once.
   std::map<buffer::PageIoTicket, PendingBatch>::node_type node;
   {
     MutexLock lock(pending_mu_);

@@ -39,10 +39,9 @@ std::vector<flash::DieId> AllDies(const flash::FlashGeometry& geo) {
   return dies;
 }
 
-MapperOptions CkptOptions(bool recover_via_checkpoint = true) {
+MapperOptions CkptOptions() {
   MapperOptions o;
   o.checkpoint_slots = 2;
-  o.recover_via_checkpoint = recover_via_checkpoint;
   return o;
 }
 
@@ -160,12 +159,11 @@ class CheckpointEquivalenceTest : public ::testing::Test {
     }  // crash: RAM state dropped
     SimTime done = 0;
     auto ra = OutOfPlaceMapper::RecoverFromDevice(
-        &device_a_, AllDies(geo_), kLogicalPages, CkptOptions(true), 0, &done);
+        &device_a_, AllDies(geo_), kLogicalPages, CkptOptions(), 0, &done);
     ASSERT_TRUE(ra.ok()) << ra.status().ToString();
     recovered_ckpt_ = std::move(*ra);
-    auto rb = OutOfPlaceMapper::RecoverFromDevice(
-        &device_b_, AllDies(geo_), kLogicalPages, CkptOptions(false), 0,
-        &done);
+    auto rb = OutOfPlaceMapper::DebugRecoverByFullScan(
+        &device_b_, AllDies(geo_), kLogicalPages, CkptOptions(), 0, &done);
     ASSERT_TRUE(rb.ok()) << rb.status().ToString();
     recovered_full_ = std::move(*rb);
   }
@@ -345,21 +343,17 @@ TEST(CheckpointQuiesceTest, MidVictimTiesResolveLikeFullScan) {
   geo.blocks_per_die = 32;
   geo.pages_per_block = 8;
   geo.page_size = 256;
-  auto opts = [](bool recover_via_checkpoint) {
-    MapperOptions o;
-    o.checkpoint_slots = 2;
-    o.recover_via_checkpoint = recover_via_checkpoint;
-    o.gc_quantum_pages = 1;
-    o.gc_low_watermark = 3;
-    o.gc_high_watermark = 5;
-    o.dynamic_wear_leveling = false;
-    return o;
-  };
+  MapperOptions opts;
+  opts.checkpoint_slots = 2;
+  opts.gc_quantum_pages = 1;
+  opts.gc_low_watermark = 3;
+  opts.gc_high_watermark = 5;
+  opts.dynamic_wear_leveling = false;
   const uint64_t kPages = 100;
   flash::FlashDevice device_a(geo, flash::FlashTiming{});
   flash::FlashDevice device_b(geo, flash::FlashTiming{});
   auto run = [&](flash::FlashDevice* dev) {
-    OutOfPlaceMapper m(dev, {0}, kPages, opts(true));
+    OutOfPlaceMapper m(dev, {0}, kPages, opts);
     Rng rng(6);
     std::vector<char> buf(geo.page_size, 'x');
     for (int i = 0; i < 1100; i++) {
@@ -372,10 +366,10 @@ TEST(CheckpointQuiesceTest, MidVictimTiesResolveLikeFullScan) {
   run(&device_a);
   run(&device_b);
   SimTime done = 0;
-  auto ra = OutOfPlaceMapper::RecoverFromDevice(&device_a, {0}, kPages,
-                                                opts(true), 0, &done);
-  auto rb = OutOfPlaceMapper::RecoverFromDevice(&device_b, {0}, kPages,
-                                                opts(false), 0, &done);
+  auto ra = OutOfPlaceMapper::RecoverFromDevice(&device_a, {0}, kPages, opts,
+                                                0, &done);
+  auto rb = OutOfPlaceMapper::DebugRecoverByFullScan(&device_b, {0}, kPages,
+                                                     opts, 0, &done);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ((*ra)->stats().recovery_ckpt_epoch, 1u);

@@ -1,16 +1,15 @@
-// Queue semantics of the event-driven submit/poll device API and the
+// Queue semantics of the event-driven submit/reap device API and the
 // compute–I/O overlap it buys.
 //
 // Contracts pinned here:
 //   * device level: Submit returns a ticket without delivering a result;
-//     same-die ops retire FIFO in submission order, cross-die ops retire out
-//     of order (whichever die finishes first); WaitFor works on a ticket
-//     whose op has long retired and errors on a reaped one; PollCompletions
-//     drains in retirement order.
+//     same-die ops complete FIFO in submission order, cross-die ops complete
+//     out of order (whichever die finishes first); WaitFor works on a ticket
+//     whose op has long retired and errors on a reaped one.
 //   * provider level: SubmitBatch + compute + WaitBatch costs
 //     max(compute, max-over-dies I/O) — not the sum — while the reaped
-//     results stay byte-identical to call-and-resolve execution; callbacks
-//     and polling deliver the same completions.
+//     results stay byte-identical to call-and-resolve execution; each
+//     ticket is reaped on its own, in any order.
 //   * buffer level: SubmitFetch/WaitFetch and the FixPage auto-reap keep
 //     logical results identical to the blocking FetchPages.
 //   * GC satellite: relocation resolves a victim block's OOB metadata once
@@ -18,7 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <map>
+#include <set>
 #include <vector>
 
 #include "flash/device.h"
@@ -65,7 +64,7 @@ void ProgramSeq(FlashDevice* dev, flash::DieId die, uint32_t count) {
   }
 }
 
-TEST(DeviceQueue, SameDieRequestsRetireFifoInSubmissionOrder) {
+TEST(DeviceQueue, SameDieRequestsCompleteFifoInSubmissionOrder) {
   const FlashGeometry geo = SmallGeometry(4);
   FlashDevice dev(geo, FlashTiming{});
   ProgramSeq(&dev, /*die=*/0, /*count=*/3);
@@ -81,25 +80,14 @@ TEST(DeviceQueue, SameDieRequestsRetireFifoInSubmissionOrder) {
   EXPECT_EQ(dev.QueueDepth(), 3u);
 
   // Same die: the three reads serialize on the die, completing one service
-  // time apart, in submission order.
+  // time apart, in submission order — whatever order they are reaped in.
   const SimTime one = timing.read_us + timing.transfer_us;
-  const flash::OpResult* r0 = dev.PeekCompletion(tickets[0]);
-  ASSERT_NE(r0, nullptr);
-  EXPECT_EQ(r0->complete, t0 + one);
-
-  // Poll just past the first completion: exactly one entry retires.
-  std::vector<flash::Completion> out;
-  EXPECT_EQ(dev.PollCompletions(t0 + one, &out), 1u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].ticket, tickets[0]);
-
-  // Poll to the horizon: the remaining two retire FIFO.
-  out.clear();
-  EXPECT_EQ(dev.PollCompletions(~SimTime{0}, &out), 2u);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].ticket, tickets[1]);
-  EXPECT_EQ(out[1].ticket, tickets[2]);
-  EXPECT_LT(out[0].result.complete, out[1].result.complete);
+  for (const int p : {2, 0, 1}) {
+    auto r = dev.WaitFor(tickets[p]);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->status.ok());
+    EXPECT_EQ(r->complete, t0 + (p + 1) * one) << "read " << p;
+  }
   EXPECT_EQ(dev.QueueDepth(), 0u);
 
   // The array reads landed in the buffers at their queue positions.
@@ -117,10 +105,12 @@ TEST(DeviceQueue, CrossDieRequestsCompleteOutOfOrder) {
   const SimTime t0 = 1u << 20;
 
   // Keep die 0 busy with two extra reads, then submit A (die 0) before
-  // B (die 1): A is first in submission order but retires after B.
+  // B (die 1): A is first in submission order but completes after B.
   std::vector<char> buf(geo.page_size);
-  dev.SubmitRead({{0, 0, 0}, nullptr, nullptr}, t0, OpOrigin::kHost);
-  dev.SubmitRead({{0, 0, 0}, nullptr, nullptr}, t0, OpOrigin::kHost);
+  const flash::Ticket busy1 =
+      dev.SubmitRead({{0, 0, 0}, nullptr, nullptr}, t0, OpOrigin::kHost);
+  const flash::Ticket busy2 =
+      dev.SubmitRead({{0, 0, 0}, nullptr, nullptr}, t0, OpOrigin::kHost);
   const flash::Ticket a =
       dev.SubmitRead({{0, 0, 0}, buf.data(), nullptr}, t0, OpOrigin::kHost);
   const flash::Ticket b =
@@ -128,25 +118,18 @@ TEST(DeviceQueue, CrossDieRequestsCompleteOutOfOrder) {
   ASSERT_LT(a, b);  // submission order
 
   const SimTime one = timing.read_us + timing.transfer_us;
-  const flash::OpResult* ra = dev.PeekCompletion(a);
-  const flash::OpResult* rb = dev.PeekCompletion(b);
-  ASSERT_NE(ra, nullptr);
-  ASSERT_NE(rb, nullptr);
-  EXPECT_EQ(rb->complete, t0 + one);       // idle die: one service time
-  EXPECT_EQ(ra->complete, t0 + 3 * one);   // queued behind two reads
-
-  std::vector<flash::Completion> out;
-  dev.PollCompletions(~SimTime{0}, &out);
-  ASSERT_EQ(out.size(), 4u);
-  // B overtakes A in retirement order (A retires last, behind its queue).
-  size_t pos_a = 0;
-  size_t pos_b = 0;
-  for (size_t i = 0; i < out.size(); i++) {
-    if (out[i].ticket == a) pos_a = i;
-    if (out[i].ticket == b) pos_b = i;
-  }
-  EXPECT_LT(pos_b, pos_a);
-  EXPECT_EQ(pos_a, 3u);
+  auto ra = dev.WaitFor(a);
+  auto rb = dev.WaitFor(b);
+  auto r1 = dev.WaitFor(busy1);
+  auto r2 = dev.WaitFor(busy2);
+  ASSERT_TRUE(ra.ok() && rb.ok() && r1.ok() && r2.ok());
+  // Die 0 serves its queue FIFO; B, submitted last, finishes with die 0's
+  // first read and two service times before A.
+  EXPECT_EQ(r1->complete, t0 + one);
+  EXPECT_EQ(r2->complete, t0 + 2 * one);
+  EXPECT_EQ(ra->complete, t0 + 3 * one);  // queued behind two reads
+  EXPECT_EQ(rb->complete, t0 + one);      // idle die: one service time
+  EXPECT_EQ(dev.QueueDepth(), 0u);
 }
 
 TEST(DeviceQueue, WaitForWorksOnRetiredTicketAndErrorsOnReapedTicket) {
@@ -163,14 +146,9 @@ TEST(DeviceQueue, WaitForWorksOnRetiredTicketAndErrorsOnReapedTicket) {
   EXPECT_TRUE(r->status.ok());
   EXPECT_GT(r->complete, 0u);
 
-  // Reaping the same ticket twice is an error, as is reaping one that
-  // PollCompletions already drained.
+  // Reaping the same ticket twice is an error, as is an unknown ticket.
   EXPECT_TRUE(dev.WaitFor(t).status().IsInvalidArgument());
-  const flash::Ticket t2 =
-      dev.SubmitRead({{0, 0, 0}, nullptr, nullptr}, /*issue=*/0,
-                     OpOrigin::kHost);
-  EXPECT_EQ(dev.PollCompletions(~SimTime{0}, nullptr), 1u);
-  EXPECT_TRUE(dev.WaitFor(t2).status().IsInvalidArgument());
+  EXPECT_TRUE(dev.WaitFor(t + 1000).status().IsInvalidArgument());
 }
 
 /// One device + one region over every die (matches test_io_batch.cc).
@@ -265,15 +243,15 @@ TEST(ComputeIoOverlap, WallTimeIsMaxOfComputeAndIo) {
   }
 }
 
-TEST(ComputeIoOverlap, PollReapsByTimeAcrossBatches) {
+TEST(ComputeIoOverlap, TicketsAreReapedIndependentlyInAnyOrder) {
   Stack s;
   const uint32_t page_size = PopulateOnePagePerDie(&s);
   const FlashTiming timing;
   const SimTime one = timing.read_us + timing.transfer_us;
   const SimTime t0 = 1u << 20;
 
-  // Two batches: one cross-die (retires after one service time), one
-  // triple-read of a single page (same die, retires after three).
+  // Two batches: one cross-die (completes after one service time), one
+  // triple-read of a single page (same die, completes after three).
   std::vector<char> buf(page_size);
   IoBatch fast;
   fast.AddRead(0, buf.data());
@@ -286,134 +264,35 @@ TEST(ComputeIoOverlap, PollReapsByTimeAcrossBatches) {
   IoTicket ts = 0;
   ASSERT_TRUE(s.rg->SubmitBatch(&fast, t0, &tf).ok());
   ASSERT_TRUE(s.rg->SubmitBatch(&slow, t0, &ts).ok());
+  EXPECT_EQ(s.rg->mapper().PendingBatches(), 2u);
 
-  // At t0 + one: both fast reads and the first slow read have retired.
-  EXPECT_EQ(s.rg->PollCompletions(t0 + one), 3u);
-  EXPECT_TRUE(fast.AllDone());
-  EXPECT_FALSE(slow.AllDone());
-  EXPECT_EQ(slow[0].done, true);
-  EXPECT_EQ(slow[1].done, false);
-
-  // Horizon: everything retires; the fully-polled batch needs no WaitBatch.
-  EXPECT_EQ(s.rg->PollCompletions(~SimTime{0}), 2u);
+  // Reaping the later, slower ticket first delivers only its own slots.
+  SimTime slow_done = 0;
+  ASSERT_TRUE(s.rg->WaitBatch(ts, &slow_done).ok());
   EXPECT_TRUE(slow.AllDone());
-  EXPECT_EQ(slow.MaxComplete() - t0, 3 * one);
-  EXPECT_TRUE(s.rg->WaitBatch(ts, nullptr).ok());  // no-op
-  EXPECT_TRUE(s.rg->WaitBatch(tf, nullptr).ok());  // no-op
-}
-
-TEST(ComputeIoOverlap, CallbackAndPollDeliverIdenticalCompletions) {
-  // Twin stacks, same batch. One reaps via per-request callbacks fired by
-  // WaitBatch, the other by PollCompletions; the delivered (status,
-  // complete) pairs and the final mapper state must be identical.
-  Stack a;
-  Stack b;
-  PopulateOnePagePerDie(&a);
-  PopulateOnePagePerDie(&b);
-  const uint32_t page_size = a.rg->page_size();
-  const SimTime t0 = 1u << 20;
-
-  std::map<uint64_t, SimTime> cb_completes;
-  std::vector<std::vector<char>> bufs_a(8, std::vector<char>(page_size));
-  std::vector<std::vector<char>> bufs_b(8, std::vector<char>(page_size));
-
-  IoBatch with_cb;
-  for (uint64_t lpn = 0; lpn < 8; lpn++) {
-    IoRequest& r = with_cb.AddRead(lpn, bufs_a[lpn].data());
-    r.on_complete = [&cb_completes](const IoRequest& req) {
-      ASSERT_TRUE(req.done);
-      ASSERT_TRUE(req.status.ok());
-      cb_completes[req.lpn] = req.complete;
-    };
+  EXPECT_FALSE(fast[0].done);
+  EXPECT_FALSE(fast[1].done);
+  EXPECT_EQ(slow_done - t0, 3 * one);
+  for (size_t i = 0; i < 3; i++) {
+    EXPECT_EQ(slow[i].complete - t0, (i + 1) * one) << "read " << i;
   }
-  IoTicket ta = 0;
-  ASSERT_TRUE(a.rg->SubmitBatch(&with_cb, t0, &ta).ok());
-  EXPECT_TRUE(cb_completes.empty());  // nothing delivered at submit
-  ASSERT_TRUE(a.rg->WaitBatch(ta, nullptr).ok());
-  EXPECT_EQ(cb_completes.size(), 8u);
 
-  IoBatch polled;
-  for (uint64_t lpn = 0; lpn < 8; lpn++) {
-    polled.AddRead(lpn, bufs_b[lpn].data());
-  }
-  IoTicket tb = 0;
-  ASSERT_TRUE(b.rg->SubmitBatch(&polled, t0, &tb).ok());
-  ASSERT_EQ(b.rg->PollCompletions(~SimTime{0}), 8u);
-
-  for (uint64_t lpn = 0; lpn < 8; lpn++) {
-    ASSERT_TRUE(polled[lpn].status.ok());
-    EXPECT_EQ(cb_completes.at(lpn), polled[lpn].complete) << "lpn " << lpn;
-    EXPECT_EQ(memcmp(bufs_a[lpn].data(), bufs_b[lpn].data(), page_size), 0);
-  }
-  EXPECT_EQ(a.rg->mapper().stats().host_reads, b.rg->mapper().stats().host_reads);
-}
-
-TEST(ComputeIoOverlap, CallbackMaySubmitChainedBatchDuringReap) {
-  // The natural use of the event-driven API: a completion callback chains a
-  // dependent read on the same region. Submitting from inside the reap must
-  // be safe (the reap loop may not hold references across the callback) and
-  // the chained batch must itself be reapable.
-  Stack s;
-  const uint32_t page_size = PopulateOnePagePerDie(&s);
-  const SimTime t0 = 1u << 20;
-
-  std::vector<char> buf1(page_size);
-  std::vector<char> buf2(page_size);
-  IoBatch chained;
-  IoTicket chained_ticket = 0;
-  IoBatch first;
-  IoRequest& r = first.AddRead(0, buf1.data());
-  r.on_complete = [&](const IoRequest& req) {
-    ASSERT_TRUE(req.status.ok());
-    chained.AddRead(1, buf2.data());
-    ASSERT_TRUE(s.rg->SubmitBatch(&chained, req.complete, &chained_ticket).ok());
-  };
-  IoTicket t = 0;
-  ASSERT_TRUE(s.rg->SubmitBatch(&first, t0, &t).ok());
-  ASSERT_TRUE(s.rg->WaitBatch(t, nullptr).ok());
-  ASSERT_NE(chained_ticket, 0u);
-  ASSERT_TRUE(s.rg->WaitBatch(chained_ticket, nullptr).ok());
-  ASSERT_TRUE(chained.AllDone());
-  const auto expect = Payload(page_size, 1, 1);
-  EXPECT_EQ(memcmp(buf2.data(), expect.data(), page_size), 0);
-
-  // Same via the poll path: the callback submits while PollCompletions is
-  // mid-retirement (its candidate bookkeeping must survive the growth).
-  Stack p;
-  PopulateOnePagePerDie(&p);
-  IoBatch poll_chained;
-  IoBatch poll_first;
-  bool chained_submitted = false;
-  IoRequest& pr = poll_first.AddRead(2, buf1.data());
-  pr.on_complete = [&](const IoRequest& req) {
-    IoTicket ignored = 0;
-    poll_chained.AddRead(3, buf2.data());
-    ASSERT_TRUE(
-        p.rg->SubmitBatch(&poll_chained, req.complete, &ignored).ok());
-    chained_submitted = true;
-  };
-  IoTicket pt = 0;
-  ASSERT_TRUE(p.rg->SubmitBatch(&poll_first, t0, &pt).ok());
-  EXPECT_EQ(p.rg->PollCompletions(~SimTime{0}), 1u);
-  ASSERT_TRUE(chained_submitted);
-  EXPECT_EQ(p.rg->PollCompletions(~SimTime{0}), 1u);
-  ASSERT_TRUE(poll_chained.AllDone());
+  SimTime fast_done = 0;
+  ASSERT_TRUE(s.rg->WaitBatch(tf, &fast_done).ok());
+  EXPECT_TRUE(fast.AllDone());
+  EXPECT_EQ(fast_done - t0, one);
+  EXPECT_EQ(s.rg->mapper().PendingBatches(), 0u);
 }
 
 TEST(ComputeIoOverlap, RejectedAtomicBatchDeliversSlotsImmediately) {
   // A malformed atomic submission yields no ticket — there is nothing in
   // flight to reap — so the error must land in every slot right away, with
-  // done set and callbacks fired (contract in space_provider.h).
+  // done set (contract in space_provider.h).
   Stack s;
   std::vector<char> buf(s.rg->page_size());
-  int callbacks = 0;
   IoBatch mixed;
   mixed.AddWrite(0, buf.data(), 1);
-  IoRequest& r = mixed.AddRead(1, buf.data());
-  r.on_complete = [&](const IoRequest& req) {
-    EXPECT_TRUE(req.status.IsInvalidArgument());
-    callbacks++;
-  };
+  mixed.AddRead(1, buf.data());
   mixed.set_atomic(true);
   IoTicket ticket = 77;
   EXPECT_TRUE(s.rg->SubmitBatch(&mixed, 0, &ticket).IsInvalidArgument());
@@ -421,7 +300,6 @@ TEST(ComputeIoOverlap, RejectedAtomicBatchDeliversSlotsImmediately) {
   EXPECT_TRUE(mixed.AllDone());
   EXPECT_TRUE(mixed[0].status.IsInvalidArgument());
   EXPECT_TRUE(mixed[1].status.IsInvalidArgument());
-  EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(s.rg->mapper().valid_pages(), 0u);  // nothing installed
 }
 

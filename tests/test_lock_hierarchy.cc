@@ -54,16 +54,23 @@ TEST_F(LockHierarchyTest, SameRankWithoutAllowanceDies) {
                "does not allow same-rank holds");
 }
 
-TEST_F(LockHierarchyTest, SameRankAllowedForWarehouseAndMapper) {
+TEST_F(LockHierarchyTest, SameRankAllowedForWarehouse) {
   OnAcquire(LockRank::kWarehouse, &a);
   OnAcquire(LockRank::kWarehouse, &b);  // remote-warehouse NewOrder
   OnRelease(&b);
   OnRelease(&a);
-  OnAcquire(LockRank::kMapper, &a);
-  OnAcquire(LockRank::kMapper, &a);  // recursive completion callback
-  OnRelease(&a);
-  OnRelease(&a);
   EXPECT_EQ(HeldCount(), 0u);
+}
+
+TEST_F(LockHierarchyTest, MapperLatchReacquiredOnSameThreadDies) {
+  // The mapper latch is a plain mutex: no completion callback runs under
+  // it, so a second acquisition on one thread — of the same mapper or a
+  // sibling — is a bug the checker must catch before it can deadlock.
+  OnAcquire(LockRank::kMapper, &a);
+  EXPECT_DEATH(OnAcquire(LockRank::kMapper, &a),
+               "does not allow same-rank holds");
+  EXPECT_DEATH(OnAcquire(LockRank::kMapper, &b),
+               "does not allow same-rank holds");
 }
 
 TEST_F(LockHierarchyTest, ReleasingUnheldLockDies) {
@@ -121,6 +128,14 @@ TEST_F(LockHierarchyTest, WrapperInversionDies) {
   Mutex pool(LockRank::kBufferPool);
   MutexLock hold(device);
   EXPECT_DEATH(MutexLock bad(pool), "lock-hierarchy violation");
+}
+
+TEST_F(LockHierarchyTest, WrapperMapperReentryDiesBeforeBlocking) {
+  // A plain mutex re-locked on its own thread would hang; the rank check
+  // runs first and turns the self-deadlock into an abort.
+  Mutex mapper(LockRank::kMapper);
+  MutexLock hold(mapper);
+  EXPECT_DEATH(MutexLock again(mapper), "does not allow same-rank holds");
 }
 
 TEST_F(LockHierarchyTest, GuardWindowReleasesTracking) {

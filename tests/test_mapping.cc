@@ -362,23 +362,6 @@ TEST(MapperBucketTest, GreedyBucketPickMatchesScanChoice) {
   EXPECT_GT(compared, 0);  // the churn actually produced candidates
 }
 
-// The linear-scan baseline must stay a drop-in replacement: run the same
-// churn through a kLinearScan mapper and keep it consistent.
-TEST(MapperBucketTest, LinearScanIndexStillWorks) {
-  flash::FlashGeometry geo = TinyGeometry(16, 8);
-  flash::FlashDevice device(geo, flash::FlashTiming{});
-  MapperOptions options;
-  options.victim_index = VictimIndex::kLinearScan;
-  OutOfPlaceMapper mapper(&device, AllDies(geo), 160, options);
-  Rng rng(5);
-  for (int step = 0; step < 2000; step++) {
-    ASSERT_TRUE(mapper.Write(rng.Below(160), 0, flash::OpOrigin::kHost,
-                             nullptr, 0, nullptr).ok());
-  }
-  EXPECT_GT(mapper.stats().gc_erases, 0u);
-  EXPECT_TRUE(mapper.VerifyIntegrity().ok());
-}
-
 // Cost-benefit scoring: a fully-invalid block (u == 0) must always win, even
 // against a nearly-empty block whose age term is astronomically large. (The
 // old epsilon-based score could lose this ordering once the age gap crossed

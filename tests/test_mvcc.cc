@@ -310,7 +310,6 @@ TEST(Mvcc, VerifyIntegrityCatchesHorizonViolation) {
 MapperOptions CkptOptions() {
   MapperOptions options;
   options.checkpoint_slots = 4;
-  options.incremental_checkpoints = true;
   return options;
 }
 

@@ -1,7 +1,7 @@
 // Sharded multi-device backend tests: 1-shard ShardedSpace equivalence to
 // the unsharded stack (same MapperStats, same physical placement/tie-break
 // order), N-shard scatter/merge semantics (retire at max-over-shards,
-// same-shard FIFO preserved, merged completion stream), placement policies
+// same-shard FIFO preserved, one merged ticket per batch), placement policies
 // (extent striping, by-key pinning, spill on full shards), cross-shard
 // atomic rejection, per-shard crash recovery, and the sharded Database
 // facade end to end.
@@ -296,40 +296,67 @@ TEST(ShardScatterTest, SameShardSameDieRequestsRetireFifo) {
   }
 }
 
-TEST(ShardScatterTest, PollCompletionsMergesTheShardStreams) {
+TEST(ShardScatterTest, WaitBatchFillsEveryParentSlotInSubmissionOrder) {
+  // Interleave three shards' requests (reads, writes and a trim) in one
+  // batch: every parent slot must come back from its own mirror, whatever
+  // order the shards are reaped in.
   ShardedStack stack(3, ShardPlacement::kByKey);
   std::vector<uint64_t> base(3);
-  std::vector<char> w = PagePattern(3);
   for (uint64_t s = 0; s < 3; s++) {
     auto e = stack.space->AllocateExtentHinted(16, s);
     ASSERT_TRUE(e.ok());
+    ASSERT_EQ(ShardedSpace::ShardOf(*e), s);
     base[s] = *e;
-    ASSERT_TRUE(stack.space->WritePage(base[s], 0, w.data(), 1, nullptr).ok());
+    for (uint64_t p = 0; p < 4; p++) {
+      const std::vector<char> w = PagePattern(s * 10 + p);
+      ASSERT_TRUE(
+          stack.space->WritePage(base[s] + p, 0, w.data(), 1, nullptr).ok());
+    }
   }
 
-  SimTime issue = 1000000;
-  std::vector<std::vector<char>> bufs(3, std::vector<char>(kPageSize));
+  const SimTime issue = 1000000;
+  const uint64_t merged_before = stack.space->stats().merged_batches;
+  std::vector<std::vector<char>> bufs(5, std::vector<char>(kPageSize));
+  const std::vector<char> w2 = PagePattern(99);
   IoBatch batch;
-  int callbacks = 0;
-  for (uint64_t s = 0; s < 3; s++) {
-    IoRequest& r = batch.AddRead(base[s], bufs[s].data());
-    r.on_complete = [&callbacks](const IoRequest& req) {
-      EXPECT_TRUE(req.done);
-      callbacks++;
-    };
-  }
+  batch.AddRead(base[2] + 1, bufs[0].data());
+  batch.AddRead(base[0] + 3, bufs[1].data());
+  batch.AddWrite(base[1] + 5, w2.data(), 1);
+  batch.AddRead(base[1] + 0, bufs[2].data());
+  batch.AddTrim(base[0] + 2);
+  batch.AddRead(base[2] + 2, bufs[3].data());
+  batch.AddRead(base[0] + 7, bufs[4].data());  // never written: NotFound
   IoTicket ticket = 0;
   ASSERT_TRUE(stack.space->SubmitBatch(&batch, issue, &ticket).ok());
+  ASSERT_NE(ticket, 0u);
   EXPECT_EQ(stack.space->PendingBatches(), 1u);
-  // Poll far in the future: every request of every shard retires through
-  // one merged stream and the batch is released without a WaitBatch.
-  const size_t retired = stack.space->PollCompletions(issue + 100000000);
-  EXPECT_EQ(retired, 3u);
-  EXPECT_EQ(callbacks, 3);
+  EXPECT_EQ(stack.space->stats().merged_batches, merged_before + 1);
+  for (const IoRequest& r : batch.requests()) EXPECT_FALSE(r.done);
+
+  SimTime done = 0;
+  ASSERT_TRUE(stack.space->WaitBatch(ticket, &done).ok());
   EXPECT_TRUE(batch.AllDone());
   EXPECT_EQ(stack.space->PendingBatches(), 0u);
-  // A later WaitBatch on the drained ticket is a harmless no-op.
-  EXPECT_TRUE(stack.space->WaitBatch(ticket, nullptr).ok());
+  for (size_t i = 0; i + 1 < batch.size(); i++) {
+    EXPECT_TRUE(batch[i].status.ok()) << i << ": " << batch[i].status.ToString();
+    EXPECT_GE(batch[i].complete, issue) << i;
+    EXPECT_LE(batch[i].complete, done) << i;
+  }
+  EXPECT_TRUE(batch[6].status.IsNotFound()) << batch[6].status.ToString();
+  EXPECT_EQ(done, batch.MaxComplete());
+  const std::vector<std::pair<size_t, uint64_t>> reads = {
+      {0, 21}, {1, 3}, {2, 10}, {3, 22}};
+  for (const auto& [buf, tag] : reads) {
+    EXPECT_EQ(0, memcmp(bufs[buf].data(), PagePattern(tag).data(), kPageSize))
+        << "read slot " << buf;
+  }
+  // The write and the trim reached their shards.
+  EXPECT_TRUE(stack.rg(1)->IsMapped(ShardedSpace::LocalOf(base[1] + 5)));
+  EXPECT_FALSE(stack.rg(0)->IsMapped(ShardedSpace::LocalOf(base[0] + 2)));
+  // Reaping the ticket again is a harmless no-op.
+  SimTime again = 7;
+  EXPECT_TRUE(stack.space->WaitBatch(ticket, &again).ok());
+  EXPECT_EQ(again, 7u);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,19 +376,14 @@ TEST(ShardAtomicTest, CrossShardAtomicIsCleanlyRejected) {
   batch.AddWrite(*e0, w.data(), 4);
   batch.AddWrite(*e1, w.data(), 4);
   batch.set_atomic(true);
-  int callbacks = 0;
-  for (IoRequest& r : batch.requests()) {
-    r.on_complete = [&callbacks](const IoRequest& req) {
-      EXPECT_FALSE(req.status.ok());
-      callbacks++;
-    };
-  }
   IoTicket ticket = 0;
   Status s = stack.space->SubmitBatch(&batch, 0, &ticket);
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_EQ(ticket, 0u);  // rejected submissions yield no ticket
-  EXPECT_EQ(callbacks, 2);
   EXPECT_TRUE(batch.AllDone());
+  for (const IoRequest& r : batch.requests()) {
+    EXPECT_TRUE(r.status.IsInvalidArgument());
+  }
   EXPECT_EQ(stack.space->PendingBatches(), 0u);
   EXPECT_EQ(stack.space->stats().rejected_cross_shard_atomics, 1u);
   // Nothing became visible on either shard.
@@ -626,10 +648,9 @@ TEST(ShardFaultTest, MergedTicketCarriesPerRequestErrorSlots) {
   IoTicket ticket = 0;
   ASSERT_TRUE(stack.space->SubmitBatch(&batch, issue, &ticket).ok());
   ASSERT_NE(ticket, 0u);
-  // Reap by time, not by ticket: a failed slot must not wedge the merged
-  // completion stream.
-  const size_t retired = stack.space->PollCompletions(issue + 100000000);
-  EXPECT_EQ(retired, 4u);
+  // A failed slot must not wedge the merged ticket: the reap fills every
+  // slot, the poisoned one with its own error.
+  ASSERT_TRUE(stack.space->WaitBatch(ticket, nullptr).ok());
   EXPECT_TRUE(batch.AllDone());
   EXPECT_EQ(stack.space->PendingBatches(), 0u);
   EXPECT_TRUE(batch[0].status.ok());
@@ -639,7 +660,7 @@ TEST(ShardFaultTest, MergedTicketCarriesPerRequestErrorSlots) {
   EXPECT_EQ(0, memcmp(bufs[0].data(), w.data(), kPageSize));
   EXPECT_EQ(0, memcmp(bufs[2].data(), w.data(), kPageSize));
   EXPECT_EQ(0, memcmp(bufs[3].data(), w.data(), kPageSize));
-  // A WaitBatch on the drained ticket stays a no-op.
+  // A second WaitBatch on the reaped ticket is a no-op.
   EXPECT_TRUE(stack.space->WaitBatch(ticket, nullptr).ok());
 }
 

@@ -490,7 +490,7 @@ Result<PageHandle> BufferPool::FixPage(txn::TxnContext* ctx,
       return s;
     }
     const SimTime wait = complete > ctx->now ? complete - ctx->now : 0;
-    ctx->read_wait_us += wait;
+    ctx->AddReadWait(wait);
     if (!zero_filled) ctx->pages_read++;
     ctx->AdvanceTo(complete);
   }
@@ -510,8 +510,7 @@ Status BufferPool::FetchPages(txn::TxnContext* ctx, const PageKey* keys,
 
 Status BufferPool::SubmitFetch(txn::TxnContext* ctx, const PageKey* keys,
                                size_t count, FetchTicket* ticket) {
-  *ticket = 0;
-  if (count == 0) return Status::OK();
+  if (count == 0 && *ticket == 0) return Status::OK();
 
   // Bound one in-flight fetch by half the pool, so the claim pins can never
   // exhaust the evictable frames no matter how large the request is: the
@@ -529,9 +528,26 @@ Status BufferPool::SubmitFetch(txn::TxnContext* ctx, const PageKey* keys,
   }
 
   WriterLock lock(latch_);
+  // Join: a live fetch of this context named by *ticket takes the new runs,
+  // so one reap delivers both. Taking it out of the pending list while it
+  // grows is the same state as a fresh mid-submission fetch: a concurrent
+  // toucher of its claimed frames waits on cv_ until it registers again.
   PendingFetch fetch;
-  fetch.id = next_fetch_id_++;
-  fetch.owner = ctx;
+  auto joined = pending_fetches_.end();
+  if (*ticket != 0) {
+    joined = std::find_if(pending_fetches_.begin(), pending_fetches_.end(),
+                          [&](const PendingFetch& f) {
+                            return f.id == *ticket && f.owner == ctx;
+                          });
+  }
+  if (joined != pending_fetches_.end()) {
+    fetch = std::move(*joined);
+    pending_fetches_.erase(joined);
+  } else {
+    fetch.id = next_fetch_id_++;
+    fetch.owner = ctx;
+  }
+  *ticket = 0;
 
   // Claim a frame per absent page and hand every contiguous same-tablespace
   // run to the backend as soon as it is formed: claiming (and its possible
@@ -759,7 +775,7 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
   reaped_for_owner_.push_back({fetch.id, batch_complete, pages_read,
                                first_error});
   if (ctx != nullptr) {
-    ctx->read_wait_us += touched_latency;
+    ctx->AddReadWait(touched_latency);
     ctx->AdvanceTo(ctx->now + touched_latency);
     MaybeFlushBackground(ctx, lock);
   }
@@ -769,7 +785,7 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
 void BufferPool::ChargeOwner(txn::TxnContext* ctx, SimTime complete,
                              uint64_t pages_read, WriterLock& lock) {
   const SimTime wait = complete > ctx->now ? complete - ctx->now : 0;
-  ctx->read_wait_us += wait;
+  ctx->AddReadWait(wait);
   ctx->pages_read += pages_read;
   ctx->AdvanceTo(complete);
   MaybeFlushBackground(ctx, lock);

@@ -322,8 +322,17 @@ class BufferPool {
   /// larger than half the pool fetches the leading chunks synchronously and
   /// leaves only the last chunk in flight; the same half-pool budget is
   /// shared by ALL in-flight fetches (pages beyond it miss serially), so
-  /// stacked fetches can never pin every evictable frame. `*ticket`
-  /// receives 0 when everything was already resident.
+  /// stacked fetches can never pin every evictable frame.
+  ///
+  /// `*ticket` is in/out. On entry, 0 starts a new fetch; a ticket this
+  /// context submitted and has not reaped is joined — the new runs become
+  /// part of that fetch, so a read wave assembled from several tables and
+  /// indexes is reaped (and its wait charged) once, at the first touch of
+  /// any of its pages. On return it names the fetch holding the pages, or
+  /// is 0 when nothing is in flight (everything resident, or the named
+  /// fetch had already been reaped and every new page was resident). On
+  /// failure the joined fetch is either reaped already or still live under
+  /// its ticket; reaping a reaped ticket is a no-op.
   /// (Analysis-exempt: the submit/unwind lambdas inside open latch windows
   /// through the captured guard, which per-function analysis cannot follow;
   /// the runtime validator still tracks every release/reacquire.)

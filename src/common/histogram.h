@@ -20,6 +20,7 @@ class Histogram {
   void Reset();
 
   uint64_t count() const { return count_; }
+  uint64_t sum() const { return sum_; }
   uint64_t min() const { return count_ ? min_ : 0; }
   uint64_t max() const { return max_; }
   double Mean() const;

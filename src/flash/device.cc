@@ -65,6 +65,7 @@ SimTime FlashDevice::OccupyDie(DieId die, SimTime issue, SimTime duration) {
   Die& d = dies_[die];
   const SimTime start = std::max(issue, d.busy_until);
   d.busy_until = start + duration;
+  d.horizon_issue = issue;
   d.busy_time += duration;
   return start;
 }
@@ -86,11 +87,20 @@ OpResult FlashDevice::ReadPageLocked(const PhysAddr& addr, SimTime issue,
   // Array read occupies the die; the subsequent transfer occupies die+channel.
   Die& die = dies_[addr.die];
   const SimTime array_start = std::max(issue, die.busy_until);
+  if (origin == OpOrigin::kHost && array_start > issue &&
+      die.horizon_issue > issue) {
+    // Queued behind work issued later in simulated time: the die serves
+    // ops in call order, and a caller running ahead of this one got there
+    // first.
+    stats_.host_reads_behind_later++;
+    stats_.host_read_wait_behind_later_us += array_start - issue;
+  }
   const SimTime array_done = array_start + timing_.read_us;
   const uint32_t ch = geometry_.channel_of(addr.die);
   const SimTime xfer_start = std::max(array_done, channels_busy_[ch]);
   const SimTime xfer_done = xfer_start + timing_.transfer_us;
   die.busy_until = xfer_done;
+  die.horizon_issue = issue;
   die.busy_time += xfer_done - array_start;
   channels_busy_[ch] = xfer_done;
 
@@ -279,6 +289,7 @@ OpResult FlashDevice::ProgramPageLocked(const PhysAddr& addr, SimTime issue,
   channels_busy_[ch] = xfer_done;
   const SimTime prog_done = xfer_done + timing_.program_us;
   die.busy_until = prog_done;
+  die.horizon_issue = issue;
   die.busy_time += prog_done - xfer_start;
 
   r.start = xfer_start;

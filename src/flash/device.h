@@ -364,6 +364,8 @@ class FlashDevice {
   struct Die {
     std::vector<Block> blocks;
     SimTime busy_until = 0;
+    /// Issue time of the op that last extended busy_until.
+    SimTime horizon_issue = 0;
     SimTime busy_time = 0;  ///< accumulated service time
     /// Submitted-unreaped host-origin queued ops (see DiePendingHostOps).
     uint32_t pending_host = 0;

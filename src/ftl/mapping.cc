@@ -685,10 +685,18 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
     // back-to-back under the latch; per-page re-admission could tear the
     // batch apart on a transient throttle).
     for (size_t i = 0; i < count; i++) {
-      if (requests[i].op == IoOp::kWrite) {
-        NOFTL_RETURN_IF_ERROR(AdmitHostWrite());
-        break;
+      if (requests[i].op != IoOp::kWrite) continue;
+      Status admit = AdmitHostWrite();
+      if (!admit.ok()) {
+        // Rejected submission: no ticket exists, so every slot resolves now
+        // (the contract of storage::IoBatch::FailAll).
+        for (size_t k = 0; k < count; k++) {
+          requests[k].status = admit;
+          requests[k].done = true;
+        }
+        return admit;
       }
+      break;
     }
   }
   MutexLock lock(mu_);
@@ -1459,8 +1467,13 @@ uint32_t OutOfPlaceMapper::PickVictimImpl(DieState& ds, SimTime now,
 uint32_t OutOfPlaceMapper::PickVictim(DieState& ds, SimTime now) {
   stats_.victim_picks++;
   uint64_t steps = 0;
+  const auto start = std::chrono::steady_clock::now();
   const uint32_t victim =
       PickVictimImpl(ds, now, VictimIndex::kBuckets, &steps);
+  stats_.victim_pick_wall_ns += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
   stats_.victim_scan_steps += steps;
   return victim;
 }

@@ -135,6 +135,9 @@ struct MapperStats {
   /// (the cost the bucket index collapses to O(1)).
   RelaxedCounter victim_picks = 0;
   RelaxedCounter victim_scan_steps = 0;
+  /// Wall-clock time spent in those selections, ns (a host-CPU cost for
+  /// benches; simulated time never depends on it).
+  RelaxedCounter victim_pick_wall_ns = 0;
   /// Device-metadata lookups made by GC relocation. One per *victim block
   /// visit* (the whole block's OOB array is resolved at once), not one per
   /// relocated page — the counter proves the per-page PeekMetadata cost is

@@ -528,21 +528,48 @@ Status BTree::PrefetchLeaves(txn::TxnContext* ctx, Key128 from, Key128 to,
 Status BTree::SubmitLeafFetch(txn::TxnContext* ctx,
                               const std::vector<Key128>& keys,
                               buffer::FetchTicket* ticket) {
-  *ticket = 0;
-  if (keys.empty()) return Status::OK();
+  return SubmitLeaves(ctx, keys, {}, ticket);
+}
+
+Status BTree::SubmitScanStartFetch(txn::TxnContext* ctx,
+                                   const std::vector<Key128>& from,
+                                   const std::vector<Key128>& to,
+                                   buffer::FetchTicket* ticket) {
+  assert(from.size() == to.size());
+  return SubmitLeaves(ctx, from, to, ticket);
+}
+
+Status BTree::SubmitLeaves(txn::TxnContext* ctx,
+                           const std::vector<Key128>& keys,
+                           const std::vector<Key128>& to,
+                           buffer::FetchTicket* ticket) {
+  if (keys.empty()) return pool_->SubmitFetch(ctx, {}, ticket);
   ReaderLock lock(latch_);
   const uint32_t ts = tablespace_->tablespace_id();
   // Sorted keys route to children in key order, so each level's distinct
   // nodes come out sorted: node n of a level owns the keys from first[n] up
   // to first[n + 1].
-  std::vector<Key128> sorted = keys;
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<size_t> sorted(keys.size());
+  for (size_t k = 0; k < sorted.size(); k++) sorted[k] = k;
+  std::sort(sorted.begin(), sorted.end(),
+            [&](size_t a, size_t b) { return keys[a] < keys[b]; });
   std::vector<buffer::PageKey> level = {{ts, root_page_}};
   std::vector<size_t> first = {0};
   for (uint32_t depth = 0; depth + 1 < height_; depth++) {
     if (level.size() > 1) NOFTL_RETURN_IF_ERROR(pool_->FetchPages(ctx, level));
+    const bool leaf_parents = depth + 2 == height_;
     std::vector<buffer::PageKey> children;
     std::vector<size_t> children_first;
+    auto add_child = [&](uint64_t child, size_t k) {
+      // A scan's sibling leaf may precede the next key's routed leaf.
+      if (!children.empty() && children.back().page_no == child) return;
+      if (leaf_parents && children.size() > 1 &&
+          children[children.size() - 2].page_no == child) {
+        return;
+      }
+      children.push_back({ts, child});
+      children_first.push_back(k);
+    };
     for (size_t n = 0; n < level.size(); n++) {
       auto h = pool_->FixPage(ctx, level[n], /*create=*/false);
       if (!h.ok()) return h.status();
@@ -550,10 +577,11 @@ Status BTree::SubmitLeafFetch(txn::TxnContext* ctx,
       assert(!node.IsLeaf());
       const size_t end = n + 1 < level.size() ? first[n + 1] : sorted.size();
       for (size_t k = first[n]; k < end; k++) {
-        const uint64_t child = node.ChildFor(sorted[k], nullptr);
-        if (children.empty() || children.back().page_no != child) {
-          children.push_back({ts, child});
-          children_first.push_back(k);
+        uint32_t idx = 0;
+        add_child(node.ChildFor(keys[sorted[k]], &idx), k);
+        if (leaf_parents && !to.empty() && idx < node.Count() &&
+            !(to[sorted[k]] < node.KeyAt(idx))) {
+          add_child(node.ChildAt(idx + 1), k);
         }
       }
       pool_->Unfix(*h, /*dirty=*/false);

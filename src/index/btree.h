@@ -112,11 +112,22 @@ class BTree {
   /// and submit the distinct leaves as one queued fetch, returning without
   /// waiting. The caller's Lookup calls then reap the fetch at the first
   /// leaf touch and hit the pool, so k cold probes wait for one round trip
-  /// instead of k. `*ticket` names the in-flight fetch (0 = every leaf
-  /// resident); reap it with BufferPool::WaitFetch. Logical results of the
-  /// lookups are unchanged.
+  /// instead of k. `*ticket` is in/out like BufferPool::SubmitFetch's: a
+  /// live ticket of `ctx` is joined, and on return it names the in-flight
+  /// fetch (0 = every leaf resident); reap it with BufferPool::WaitFetch.
+  /// Logical results of the lookups are unchanged.
   Status SubmitLeafFetch(txn::TxnContext* ctx, const std::vector<Key128>& keys,
                          buffer::FetchTicket* ticket);
+
+  /// SubmitLeafFetch for short forward scans — a ScanFrom(from[i]) that
+  /// stops at the first entry up to to[i]: besides the leaf each start key
+  /// routes to, the leaf after it (same parent) whenever that leaf's keys
+  /// begin within the range, since the routed leaf may end before the
+  /// range's first entry. `from` and `to` are parallel.
+  Status SubmitScanStartFetch(txn::TxnContext* ctx,
+                              const std::vector<Key128>& from,
+                              const std::vector<Key128>& to,
+                              buffer::FetchTicket* ticket);
 
   buffer::BufferPool* pool() const { return pool_; }
 
@@ -213,6 +224,11 @@ class BTree {
   /// touching the leaf chain). Bounded, best-effort: covers up to one
   /// inner-node fanout. Returns without waiting; `*ticket` names the
   /// in-flight fetch (0 = everything resident).
+  /// Core of SubmitLeafFetch / SubmitScanStartFetch (`to` empty = point
+  /// probes only).
+  Status SubmitLeaves(txn::TxnContext* ctx, const std::vector<Key128>& keys,
+                      const std::vector<Key128>& to,
+                      buffer::FetchTicket* ticket);
   Status PrefetchLeaves(txn::TxnContext* ctx, Key128 from, Key128 to,
                         buffer::FetchTicket* ticket) REQUIRES_SHARED(latch_);
 

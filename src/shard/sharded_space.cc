@@ -105,6 +105,12 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
   }
   *ticket = 0;
 
+  // One read of the degraded flags serves the whole submission: the router
+  // may degrade a shard concurrently, and the atomic-batch check and the
+  // scatter must agree on which writes are blocked.
+  std::vector<uint8_t> degraded(shards_.size());
+  for (size_t s = 0; s < shards_.size(); s++) degraded[s] = degraded_[s];
+
   // Classify the batch: which shards does it touch?
   bool all_shard0 = true;
   size_t first_shard = 0;
@@ -145,7 +151,7 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
   // one blocked write rejects the whole submission.
   bool any_blocked = false;
   for (const IoRequest& r : batch->requests()) {
-    if (r.op != storage::IoOp::kRead && degraded_[ShardOf(r.lpn)]) {
+    if (r.op != storage::IoOp::kRead && degraded[ShardOf(r.lpn)]) {
       any_blocked = true;
       break;
     }
@@ -184,7 +190,7 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
   std::vector<size_t> sub_of(shards_.size(), SIZE_MAX);
   for (IoRequest& r : batch->requests()) {
     const size_t s = ShardOf(r.lpn);
-    if (r.op != storage::IoOp::kRead && degraded_[s]) {
+    if (r.op != storage::IoOp::kRead && degraded[s]) {
       stats_.degraded_rejected_writes++;
       r.status = Status::ReadOnly("shard " + std::to_string(s) +
                                   " degraded to read-only");

@@ -89,8 +89,9 @@ class HeapFile {
   /// Submit-early half of Prefetch: enqueue the reads and return without
   /// waiting — computation between this call and the first access of a
   /// fetched page overlaps with the in-flight reads (that access, or an
-  /// explicit BufferPool::WaitFetch, reaps the fetch). `*ticket` receives 0
-  /// when everything was already resident.
+  /// explicit BufferPool::WaitFetch, reaps the fetch). `*ticket` is in/out
+  /// like BufferPool::SubmitFetch's: a live ticket of `ctx` is joined, and
+  /// on return it names the in-flight fetch (0 = everything resident).
   Status SubmitPrefetch(txn::TxnContext* ctx,
                         const std::vector<RecordId>& rids,
                         buffer::FetchTicket* ticket);

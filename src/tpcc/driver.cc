@@ -32,6 +32,8 @@ struct DeviceTotals {
   uint64_t host_writes = 0;
   uint64_t gc_copybacks = 0;
   uint64_t gc_erases = 0;
+  uint64_t reads_behind_later = 0;
+  uint64_t wait_behind_later_us = 0;
 };
 
 DeviceTotals CollectDeviceTotals(db::Database* dbase) {
@@ -41,6 +43,8 @@ DeviceTotals CollectDeviceTotals(db::Database* dbase) {
     t.host_writes += dev->stats().host_writes();
     t.gc_copybacks += dev->stats().gc_copybacks();
     t.gc_erases += dev->stats().gc_erases();
+    t.reads_behind_later += dev->stats().host_reads_behind_later;
+    t.wait_behind_later_us += dev->stats().host_read_wait_behind_later_us;
   });
   return t;
 }
@@ -98,6 +102,10 @@ void FillDeviceReport(db::Database* dbase, const DeviceTotals& base,
   report->host_write_ios = totals.host_writes - base.host_writes;
   report->gc_copybacks = totals.gc_copybacks - base.gc_copybacks;
   report->gc_erases = totals.gc_erases - base.gc_erases;
+  report->host_reads_behind_later =
+      totals.reads_behind_later - base.reads_behind_later;
+  report->host_read_wait_behind_later_us =
+      totals.wait_behind_later_us - base.wait_behind_later_us;
   Histogram read_lat;
   Histogram write_lat;
   uint64_t programs = 0;
@@ -120,6 +128,7 @@ void FillDeviceReport(db::Database* dbase, const DeviceTotals& base,
     devices++;
   });
   report->read_4k_us = read_lat.Mean();
+  report->host_read_total_us = read_lat.sum();
   report->write_4k_us = write_lat.Mean();
   report->write_amplification =
       totals.host_writes
@@ -189,6 +198,7 @@ struct Tally {
   uint64_t txn_retries = 0;
   uint64_t txn_giveups = 0;
   Histogram response_us[kNumTxnTypes];
+  uint64_t read_waits[kNumTxnTypes] = {};
   Histogram response_gc_active_us;
   Histogram response_idle_us;
   Histogram response_snapshot_us;
@@ -201,6 +211,7 @@ struct Tally {
     report->txn_giveups += txn_giveups;
     for (int ty = 0; ty < kNumTxnTypes; ty++) {
       report->response_us[ty].Merge(response_us[ty]);
+      report->read_waits[ty] += read_waits[ty];
     }
     report->response_gc_active_us.Merge(response_gc_active_us);
     report->response_idle_us.Merge(response_idle_us);
@@ -294,6 +305,7 @@ Status RunStep(TpccDb* db, const DriverOptions& options, Terminal* t,
 
   const SimTime response = t->ctx.ResponseTime();
   tally->response_us[static_cast<int>(type)].Record(response);
+  tally->read_waits[static_cast<int>(type)] += t->ctx.read_waits;
   const bool gc_overlap = GcOpsTotal(db->database()) != gc_before;
   (gc_overlap ? tally->response_gc_active_us : tally->response_idle_us)
       .Record(response);

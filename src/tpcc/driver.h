@@ -111,6 +111,9 @@ struct DriverReport {
   SimTime max_start_lead_us = 0;
 
   Histogram response_us[kNumTxnTypes];  ///< per transaction type
+  /// Times the transactions of each type blocked on reads (final attempt
+  /// of a retried transaction), summed.
+  uint64_t read_waits[kNumTxnTypes] = {};
 
   /// Foreground latency split by housekeeping overlap: transactions whose
   /// window saw a GC copyback or erase anywhere on the stack vs the rest.
@@ -138,6 +141,11 @@ struct DriverReport {
   uint64_t host_read_ios = 0;
   uint64_t host_write_ios = 0;
   double read_4k_us = 0;   ///< mean host read latency
+  uint64_t host_read_total_us = 0;  ///< host read latency summed
+  /// Host reads that waited on a die behind work issued later in simulated
+  /// time, and that wait summed (flash::FlashStats::host_reads_behind_later).
+  uint64_t host_reads_behind_later = 0;
+  uint64_t host_read_wait_behind_later_us = 0;
   double write_4k_us = 0;  ///< mean host write latency
   uint64_t gc_copybacks = 0;
   uint64_t gc_erases = 0;
@@ -153,6 +161,12 @@ struct DriverReport {
 
   double MeanResponseMs(TxnType type) const {
     return response_us[static_cast<int>(type)].Mean() / 1000.0;
+  }
+  double MeanReadWaits(TxnType type) const {
+    const uint64_t n = response_us[static_cast<int>(type)].count();
+    return n ? static_cast<double>(read_waits[static_cast<int>(type)]) /
+                   static_cast<double>(n)
+             : 0.0;
   }
 
   /// Multi-line human-readable summary.

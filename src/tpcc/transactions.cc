@@ -11,40 +11,64 @@ using storage::RecordId;
 
 namespace {
 
-/// Submit-early/reap-late prefetch scope. Submit() enqueues a heap's record
-/// pages, or the leaves an index's point probes will read, and returns
-/// immediately; the transaction keeps computing (index probes, row CPU)
-/// while the reads are in flight, and the first access of a fetched page
-/// reaps its fetch. The destructor reaps whatever was never touched — on
-/// early-error returns included — so no claim pins outlive the transaction.
-class PrefetchScope {
+/// Largest order (clause 2.4.1.3: 5..15 lines).
+constexpr int32_t kMaxOrderLines = 15;
+
+/// One read wave: the independent reads of one dependency level of a
+/// transaction, submitted together before any of them is needed. Every
+/// Submit joins the wave's fetch (BufferPool::SubmitFetch's ticket join),
+/// so leaves and pages of several indexes and tables go out as one queued
+/// fetch: the transaction keeps computing while they are in flight, the
+/// first access of any of the wave's pages reaps the whole wave — one wait,
+/// for the slowest die — and the accesses after it hit. The destructor reaps
+/// a wave that was never touched (early-error returns included), so no claim
+/// pins outlive the transaction.
+class ReadWave {
  public:
-  explicit PrefetchScope(txn::TxnContext* ctx) : ctx_(ctx) {}
-  PrefetchScope(const PrefetchScope&) = delete;
-  PrefetchScope& operator=(const PrefetchScope&) = delete;
-  ~PrefetchScope() {
+  explicit ReadWave(txn::TxnContext* ctx) : ctx_(ctx) {}
+  ReadWave(const ReadWave&) = delete;
+  ReadWave& operator=(const ReadWave&) = delete;
+  ~ReadWave() {
     for (size_t i = 0; i < tickets_.size(); i++) {
       (void)pools_[i]->WaitFetch(ctx_, tickets_[i]);
     }
   }
 
+  /// The pages holding `rids`.
   Status Submit(storage::HeapFile* heap, const std::vector<RecordId>& rids) {
-    buffer::FetchTicket ticket = 0;
-    NOFTL_RETURN_IF_ERROR(heap->SubmitPrefetch(ctx_, rids, &ticket));
+    buffer::FetchTicket ticket = Joinable(heap->pool());
+    Status s = heap->SubmitPrefetch(ctx_, rids, &ticket);
     Track(heap->pool(), ticket);
-    return Status::OK();
+    return s;
   }
 
+  /// The leaves the point probes of `keys` will read.
   Status Submit(index::BTree* tree, const std::vector<Key128>& keys) {
-    buffer::FetchTicket ticket = 0;
-    NOFTL_RETURN_IF_ERROR(tree->SubmitLeafFetch(ctx_, keys, &ticket));
+    buffer::FetchTicket ticket = Joinable(tree->pool());
+    Status s = tree->SubmitLeafFetch(ctx_, keys, &ticket);
     Track(tree->pool(), ticket);
-    return Status::OK();
+    return s;
+  }
+
+  /// The leaves first-entry scans of the ranges [from[i], to[i]] will read.
+  Status SubmitScanStarts(index::BTree* tree, const std::vector<Key128>& from,
+                          const std::vector<Key128>& to) {
+    buffer::FetchTicket ticket = Joinable(tree->pool());
+    Status s = tree->SubmitScanStartFetch(ctx_, from, to, &ticket);
+    Track(tree->pool(), ticket);
+    return s;
   }
 
  private:
+  buffer::FetchTicket Joinable(buffer::BufferPool* pool) const {
+    return !pools_.empty() && pools_.back() == pool ? tickets_.back() : 0;
+  }
+
+  // A ticket differing from the joined one is a new fetch: the joined fetch
+  // was reaped meanwhile (a concurrent toucher of one of its pages), and its
+  // completion still waits for this owner's reap.
   void Track(buffer::BufferPool* pool, buffer::FetchTicket ticket) {
-    if (ticket == 0) return;
+    if (ticket == 0 || ticket == Joinable(pool)) return;
     pools_.push_back(pool);
     tickets_.push_back(ticket);
   }
@@ -157,8 +181,8 @@ Status TpccTransactions::CustomerByName(txn::TxnContext* ctx, int32_t w,
   if (rids.empty()) return Status::NotFound("no customer with last name");
 
   std::vector<CustomerRow> rows(rids.size());
-  PrefetchScope prefetch(ctx);
-  if (batched_io_) NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->customer, rids));
+  ReadWave wave(ctx);
+  if (batched_io_) NOFTL_RETURN_IF_ERROR(wave.Submit(db_->customer, rids));
   for (size_t i = 0; i < rids.size(); i++) {
     NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->customer, rids[i], &rows[i]));
   }
@@ -184,7 +208,7 @@ Status TpccTransactions::NewOrder(txn::TxnContext* ctx, int32_t w,
   const int32_t d = RandomDistrict();
   const auto c = static_cast<int32_t>(
       nurand_->Next(1023, 1, scale.customers_per_district));
-  const auto ol_cnt = static_cast<int32_t>(rng_->Uniform(5, 15));
+  const auto ol_cnt = static_cast<int32_t>(rng_->Uniform(5, kMaxOrderLines));
   const bool rollback = rng_->Uniform(1, 100) == 1;  // clause 2.4.1.4
 
   struct Line {
@@ -232,22 +256,72 @@ Status TpccTransactions::NewOrder(txn::TxnContext* ctx, int32_t w,
   DistrictRow drow;
   NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->district, drid, &drow));
 
-  // Customer discount/credit.
+  // Batched I/O resolves every independent read in two waves. Wave 1: the
+  // index leaves whose keys are known now — the customer's C_IDX leaf, the
+  // I_IDX and S_IDX leaves of every line and the O_CUST_IDX leaf the new
+  // order's entry goes to. The probes then reap it and hit, and wave 2 reads
+  // the CUSTOMER, ITEM and STOCK pages they name while the order's inserts
+  // run; the first row read reaps it and every later one hits. The rollback
+  // order (which writes nothing) leaves out the stock and O_CUST_IDX parts.
+  // Serial: each probe and row read misses on its own, in program order.
   RecordId crid;
   CustomerRow crow;
-  NOFTL_RETURN_IF_ERROR(CustomerById(ctx, w, d, c, &crid, &crow));
+  std::vector<RecordId> irids(ol_cnt);
+  std::vector<RecordId> srids(ol_cnt);
+  ReadWave rows(ctx);
+  if (batched_io_) {
+    ReadWave leaves(ctx);
+    std::vector<Key128> ikeys;
+    std::vector<Key128> skeys;
+    for (const Line& line : lines) {
+      ikeys.push_back(ItemKey(line.i_id));
+      skeys.push_back(StockKey(line.supply_w, line.i_id));
+    }
+    NOFTL_RETURN_IF_ERROR(leaves.Submit(db_->c_idx, {CustomerKey(w, d, c)}));
+    NOFTL_RETURN_IF_ERROR(leaves.Submit(db_->i_idx, ikeys));
+    if (!rollback) {
+      NOFTL_RETURN_IF_ERROR(leaves.Submit(db_->s_idx, skeys));
+      NOFTL_RETURN_IF_ERROR(leaves.Submit(
+          db_->o_cust_idx, {OrderCustKey(w, d, c, drow.next_o_id)}));
+    }
+    ctx->AddCpu(cpu_.per_index_probe_us);
+    auto crid_packed = db_->c_idx->Lookup(ctx, CustomerKey(w, d, c));
+    if (!crid_packed.ok()) return crid_packed.status();
+    crid = RecordId::Unpack(*crid_packed);
+    for (int32_t n = 0; n < ol_cnt; n++) {
+      ctx->AddCpu(cpu_.per_index_probe_us);
+      auto irid = db_->i_idx->Lookup(ctx, ikeys[n]);
+      if (!irid.ok()) return irid.status();
+      irids[n] = RecordId::Unpack(*irid);
+      if (rollback) continue;
+      ctx->AddCpu(cpu_.per_index_probe_us);
+      auto srid = db_->s_idx->Lookup(ctx, skeys[n]);
+      if (!srid.ok()) return srid.status();
+      srids[n] = RecordId::Unpack(*srid);
+    }
+    NOFTL_RETURN_IF_ERROR(rows.Submit(db_->customer, {crid}));
+    NOFTL_RETURN_IF_ERROR(rows.Submit(db_->item, irids));
+    if (!rollback) NOFTL_RETURN_IF_ERROR(rows.Submit(db_->stock, srids));
+  } else {
+    NOFTL_RETURN_IF_ERROR(CustomerById(ctx, w, d, c, &crid, &crow));
+  }
 
   if (rollback) {
     // Unused item number: do the item reads, then roll back before any
     // write (keeps the engine consistent without an undo log; the I/O
     // profile of the aborted transaction is preserved).
-    for (const auto& line : lines) {
-      ctx->AddCpu(cpu_.per_index_probe_us);
-      auto irid = db_->i_idx->Lookup(ctx, ItemKey(line.i_id));
-      if (!irid.ok()) return irid.status();
+    for (int32_t n = 0; n < ol_cnt; n++) {
+      if (!batched_io_) {
+        ctx->AddCpu(cpu_.per_index_probe_us);
+        auto irid = db_->i_idx->Lookup(ctx, ItemKey(lines[n].i_id));
+        if (!irid.ok()) return irid.status();
+        irids[n] = RecordId::Unpack(*irid);
+      }
       ItemRow irow;
-      NOFTL_RETURN_IF_ERROR(
-          ReadRow(ctx, db_->item, RecordId::Unpack(*irid), &irow));
+      NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->item, irids[n], &irow));
+    }
+    if (batched_io_) {
+      NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->customer, crid, &crow));
     }
     *committed = false;
     return Status::OK();
@@ -278,39 +352,10 @@ Status TpccTransactions::NewOrder(txn::TxnContext* ctx, int32_t w,
   if (!nrid.ok()) return nrid.status();
   NOFTL_RETURN_IF_ERROR(
       db_->no_idx->Insert(ctx, NewOrderKey(w, d, o_id), nrid->Pack()));
-
-  // Batched I/O: submit the item and stock index leaves of every line
-  // together, resolve the records (the first probe of each index reaps its
-  // leaf fetch, the rest hit), then submit both tables' page reads and keep
-  // going — the submissions return immediately, the first item access reaps
-  // the item fetch while the stock reads are still in flight, and the
-  // per-line CPU in between hides under the queued I/O. Logical results are
-  // identical to the blocking prefetch.
-  std::vector<RecordId> irids(ol_cnt);
-  std::vector<RecordId> srids(ol_cnt);
-  PrefetchScope prefetch(ctx);
+  // Batched: the district write and the inserts above ran while wave 2 was
+  // in flight; the customer read reaps it.
   if (batched_io_) {
-    std::vector<Key128> ikeys;
-    std::vector<Key128> skeys;
-    for (const Line& line : lines) {
-      ikeys.push_back(ItemKey(line.i_id));
-      skeys.push_back(StockKey(line.supply_w, line.i_id));
-    }
-    NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->i_idx, ikeys));
-    NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->s_idx, skeys));
-    for (int32_t n = 0; n < ol_cnt; n++) {
-      const Line& line = lines[n];
-      ctx->AddCpu(cpu_.per_index_probe_us);
-      auto irid = db_->i_idx->Lookup(ctx, ItemKey(line.i_id));
-      if (!irid.ok()) return irid.status();
-      irids[n] = RecordId::Unpack(*irid);
-      ctx->AddCpu(cpu_.per_index_probe_us);
-      auto srid = db_->s_idx->Lookup(ctx, StockKey(line.supply_w, line.i_id));
-      if (!srid.ok()) return srid.status();
-      srids[n] = RecordId::Unpack(*srid);
-    }
-    NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->item, irids));
-    NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->stock, srids));
+    NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->customer, crid, &crow));
   }
 
   for (int32_t n = 0; n < ol_cnt; n++) {
@@ -497,8 +542,8 @@ Status TpccTransactions::OrderStatus(txn::TxnContext* ctx, int32_t w) {
       if (!lrid.ok()) return lrid.status();
       lrids[n - 1] = RecordId::Unpack(*lrid);
     }
-    PrefetchScope prefetch(ctx);
-    NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->order_line, lrids));
+    ReadWave rows(ctx);
+    NOFTL_RETURN_IF_ERROR(rows.Submit(db_->order_line, lrids));
     for (const RecordId& lrid : lrids) {
       OrderLineRow lrow;
       NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->order_line, lrid, &lrow));
@@ -516,80 +561,173 @@ Status TpccTransactions::OrderStatus(txn::TxnContext* ctx, int32_t w) {
   return Status::OK();
 }
 
+Status TpccTransactions::OldestNewOrder(txn::TxnContext* ctx, int32_t w,
+                                        DeliveryTarget* t, bool* found) {
+  // The first entry of the district's group, if any. A forward scan from
+  // the group's start reads only the leaf (or two) that entry lives in; a
+  // range read would also prefetch the leaves of the whole queue.
+  ctx->AddCpu(cpu_.per_index_probe_us);
+  const Key128 base = NewOrderKey(w, t->d, 0);
+  *found = false;
+  NOFTL_RETURN_IF_ERROR(
+      db_->no_idx->ScanFrom(ctx, base, [&](Key128 k, uint64_t v) {
+        if (k.hi != base.hi) return false;
+        t->no_key = k;
+        t->nrid = RecordId::Unpack(v);
+        *found = true;
+        return false;
+      }));
+  t->o_id = static_cast<int32_t>(t->no_key.lo);
+  return Status::OK();
+}
+
+Status TpccTransactions::DeliverOrder(txn::TxnContext* ctx, int32_t w,
+                                      int32_t carrier, DeliveryTarget* t) {
+  const int32_t d = t->d;
+  NOFTL_RETURN_IF_ERROR(db_->new_order->Delete(ctx, t->nrid));
+  NOFTL_RETURN_IF_ERROR(db_->no_idx->Delete(ctx, t->no_key));
+
+  if (!batched_io_) {
+    ctx->AddCpu(cpu_.per_index_probe_us);
+    auto orid = db_->o_idx->Lookup(ctx, OrderKey(w, d, t->o_id));
+    if (!orid.ok()) return orid.status();
+    t->orid = RecordId::Unpack(*orid);
+    NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->order, t->orid, &t->orow));
+    t->lrids.assign(std::max(t->orow.ol_cnt, 0), RecordId{});
+  }
+  t->orow.carrier_id = carrier;
+  NOFTL_RETURN_IF_ERROR(WriteRow(ctx, db_->order, t->orid, t->orow));
+
+  double total = 0;
+  for (int32_t n = 1; n <= t->orow.ol_cnt; n++) {
+    if (!batched_io_) {
+      ctx->AddCpu(cpu_.per_index_probe_us);
+      auto lrid = db_->ol_idx->Lookup(ctx, OrderLineKey(w, d, t->o_id, n));
+      if (!lrid.ok()) return lrid.status();
+      t->lrids[n - 1] = RecordId::Unpack(*lrid);
+    }
+    const RecordId lrid = t->lrids[n - 1];
+    OrderLineRow lrow;
+    NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->order_line, lrid, &lrow));
+    lrow.delivery_d = static_cast<int64_t>(ctx->now);
+    total += lrow.amount;
+    NOFTL_RETURN_IF_ERROR(WriteRow(ctx, db_->order_line, lrid, lrow));
+  }
+
+  CustomerRow crow;
+  if (batched_io_) {
+    NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->customer, t->crid, &crow));
+  } else {
+    NOFTL_RETURN_IF_ERROR(
+        CustomerById(ctx, w, d, t->orow.c_id, &t->crid, &crow));
+  }
+  crow.balance += total;
+  crow.delivery_cnt++;
+  return WriteRow(ctx, db_->customer, t->crid, crow);
+}
+
 Status TpccTransactions::Delivery(txn::TxnContext* ctx, int32_t w) {
   const TpccScale& scale = db_->scale();
   ctx->AddCpu(cpu_.per_txn_us);
   const auto carrier = static_cast<int32_t>(rng_->Uniform(1, 10));
   ScopedWarehouseLocks wlock(wlocks_, {w});
 
+  if (!batched_io_) {
+    // Serial: one district after the other, every read in program order.
+    for (uint32_t dd = 1; dd <= scale.districts_per_warehouse; dd++) {
+      DeliveryTarget t;
+      t.d = static_cast<int32_t>(dd);
+      bool found = false;
+      NOFTL_RETURN_IF_ERROR(OldestNewOrder(ctx, w, &t, &found));
+      if (!found) continue;  // district fully delivered (clause 2.7.4.2)
+      NOFTL_RETURN_IF_ERROR(DeliverOrder(ctx, w, carrier, &t));
+    }
+    return Status::OK();
+  }
+
+  // Batched: the districts are independent, so their reads go out together,
+  // one wave per dependency level across all of them —
+  //   A: the NO_IDX leaf of each district's oldest order;
+  //   B: the NEW_ORDER pages, and the O_IDX and OL_IDX leaves of the orders;
+  //   C: the ORDER pages;
+  //   D: the ORDER_LINE pages and the C_IDX leaves of the order's customers;
+  //   E: the CUSTOMER pages.
+  // The first probe or row read of a level reaps its wave and the rest hit.
+  // The per-district mutations then run in district order, as serially, and
+  // every access in them hits (each probe and row read is charged once).
+  ReadWave wave_a(ctx);
+  std::vector<Key128> no_from;
+  std::vector<Key128> no_to;
   for (uint32_t dd = 1; dd <= scale.districts_per_warehouse; dd++) {
-    const auto d = static_cast<int32_t>(dd);
-    // Oldest undelivered order: first entry of the district's group.
-    ctx->AddCpu(cpu_.per_index_probe_us);
-    const Key128 base = NewOrderKey(w, d, 0);
-    Key128 no_key{};
-    RecordId nrid;
+    no_from.push_back(NewOrderKey(w, static_cast<int32_t>(dd), 0));
+    no_to.push_back({no_from.back().hi, ~0ull});
+  }
+  NOFTL_RETURN_IF_ERROR(wave_a.SubmitScanStarts(db_->no_idx, no_from, no_to));
+  std::vector<DeliveryTarget> targets;
+  for (uint32_t dd = 1; dd <= scale.districts_per_warehouse; dd++) {
+    DeliveryTarget t;
+    t.d = static_cast<int32_t>(dd);
     bool found = false;
-    NOFTL_RETURN_IF_ERROR(db_->no_idx->ScanRange(
-        ctx, {base.hi, 0}, {base.hi, ~0ull}, [&](Key128 k, uint64_t v) {
-          no_key = k;
-          nrid = RecordId::Unpack(v);
-          found = true;
-          return false;
-        }));
-    if (!found) continue;  // district fully delivered (clause 2.7.4.2)
-    const auto o_id = static_cast<int32_t>(no_key.lo);
+    NOFTL_RETURN_IF_ERROR(OldestNewOrder(ctx, w, &t, &found));
+    if (found) targets.push_back(std::move(t));
+  }
 
-    NOFTL_RETURN_IF_ERROR(db_->new_order->Delete(ctx, nrid));
-    NOFTL_RETURN_IF_ERROR(db_->no_idx->Delete(ctx, no_key));
-
+  ReadWave wave_b(ctx);
+  std::vector<RecordId> nrids;
+  std::vector<Key128> o_keys;
+  std::vector<Key128> ol_keys;
+  for (const DeliveryTarget& t : targets) {
+    nrids.push_back(t.nrid);
+    o_keys.push_back(OrderKey(w, t.d, t.o_id));
+    // An order's lines are adjacent keys: its first and its highest
+    // possible line name every leaf holding them.
+    ol_keys.push_back(OrderLineKey(w, t.d, t.o_id, 1));
+    ol_keys.push_back(OrderLineKey(w, t.d, t.o_id, kMaxOrderLines));
+  }
+  NOFTL_RETURN_IF_ERROR(wave_b.Submit(db_->new_order, nrids));
+  NOFTL_RETURN_IF_ERROR(wave_b.Submit(db_->o_idx, o_keys));
+  NOFTL_RETURN_IF_ERROR(wave_b.Submit(db_->ol_idx, ol_keys));
+  std::vector<RecordId> orids;
+  for (size_t i = 0; i < targets.size(); i++) {
     ctx->AddCpu(cpu_.per_index_probe_us);
-    auto orid_packed = db_->o_idx->Lookup(ctx, OrderKey(w, d, o_id));
-    if (!orid_packed.ok()) return orid_packed.status();
-    const RecordId orid = RecordId::Unpack(*orid_packed);
-    OrderRow orow;
-    NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->order, orid, &orow));
-    orow.carrier_id = carrier;
-    NOFTL_RETURN_IF_ERROR(WriteRow(ctx, db_->order, orid, orow));
+    auto orid = db_->o_idx->Lookup(ctx, o_keys[i]);
+    if (!orid.ok()) return orid.status();
+    targets[i].orid = RecordId::Unpack(*orid);
+    orids.push_back(targets[i].orid);
+  }
 
-    // Batched I/O: resolve the order's line records, submit their page
-    // reads in one queued submission, then run the read-modify-writes —
-    // the first line access reaps the fetch, so the resolution CPU above
-    // and the order write-back overlap the in-flight reads.
-    std::vector<RecordId> lrids(std::max(orow.ol_cnt, 0));
-    PrefetchScope prefetch(ctx);
-    if (batched_io_) {
-      for (int32_t n = 1; n <= orow.ol_cnt; n++) {
-        ctx->AddCpu(cpu_.per_index_probe_us);
-        auto lrid = db_->ol_idx->Lookup(ctx, OrderLineKey(w, d, o_id, n));
-        if (!lrid.ok()) return lrid.status();
-        lrids[n - 1] = RecordId::Unpack(*lrid);
-      }
-      NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->order_line, lrids));
+  ReadWave wave_c(ctx);
+  NOFTL_RETURN_IF_ERROR(wave_c.Submit(db_->order, orids));
+  std::vector<RecordId> lrids;
+  std::vector<Key128> c_keys;
+  for (DeliveryTarget& t : targets) {
+    NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->order, t.orid, &t.orow));
+    for (int32_t n = 1; n <= t.orow.ol_cnt; n++) {
+      ctx->AddCpu(cpu_.per_index_probe_us);
+      auto lrid = db_->ol_idx->Lookup(ctx, OrderLineKey(w, t.d, t.o_id, n));
+      if (!lrid.ok()) return lrid.status();
+      t.lrids.push_back(RecordId::Unpack(*lrid));
+      lrids.push_back(t.lrids.back());
     }
-    double total = 0;
-    for (int32_t n = 1; n <= orow.ol_cnt; n++) {
-      if (!batched_io_) {
-        ctx->AddCpu(cpu_.per_index_probe_us);
-        auto lrid_packed =
-            db_->ol_idx->Lookup(ctx, OrderLineKey(w, d, o_id, n));
-        if (!lrid_packed.ok()) return lrid_packed.status();
-        lrids[n - 1] = RecordId::Unpack(*lrid_packed);
-      }
-      const RecordId lrid = lrids[n - 1];
-      OrderLineRow lrow;
-      NOFTL_RETURN_IF_ERROR(ReadRow(ctx, db_->order_line, lrid, &lrow));
-      lrow.delivery_d = static_cast<int64_t>(ctx->now);
-      total += lrow.amount;
-      NOFTL_RETURN_IF_ERROR(WriteRow(ctx, db_->order_line, lrid, lrow));
-    }
+    c_keys.push_back(CustomerKey(w, t.d, t.orow.c_id));
+  }
 
-    RecordId crid;
-    CustomerRow crow;
-    NOFTL_RETURN_IF_ERROR(CustomerById(ctx, w, d, orow.c_id, &crid, &crow));
-    crow.balance += total;
-    crow.delivery_cnt++;
-    NOFTL_RETURN_IF_ERROR(WriteRow(ctx, db_->customer, crid, crow));
+  ReadWave wave_d(ctx);
+  NOFTL_RETURN_IF_ERROR(wave_d.Submit(db_->order_line, lrids));
+  NOFTL_RETURN_IF_ERROR(wave_d.Submit(db_->c_idx, c_keys));
+  std::vector<RecordId> crids;
+  for (size_t i = 0; i < targets.size(); i++) {
+    ctx->AddCpu(cpu_.per_index_probe_us);
+    auto crid = db_->c_idx->Lookup(ctx, c_keys[i]);
+    if (!crid.ok()) return crid.status();
+    targets[i].crid = RecordId::Unpack(*crid);
+    crids.push_back(targets[i].crid);
+  }
+
+  ReadWave wave_e(ctx);
+  NOFTL_RETURN_IF_ERROR(wave_e.Submit(db_->customer, crids));
+  for (DeliveryTarget& t : targets) {
+    NOFTL_RETURN_IF_ERROR(DeliverOrder(ctx, w, carrier, &t));
   }
   return Status::OK();
 }
@@ -624,8 +762,8 @@ Status TpccTransactions::StockLevel(txn::TxnContext* ctx, int32_t w,
           lrids.push_back(RecordId::Unpack(v));
           return true;
         }));
-    PrefetchScope prefetch(ctx);
-    NOFTL_RETURN_IF_ERROR(prefetch.Submit(db_->order_line, lrids));
+    ReadWave lines(ctx);
+    NOFTL_RETURN_IF_ERROR(lines.Submit(db_->order_line, lrids));
     for (const RecordId& lrid : lrids) {
       OrderLineRow lrow;
       // Mirror the serial branch's semantics: a failed line read stops the
@@ -650,12 +788,13 @@ Status TpccTransactions::StockLevel(txn::TxnContext* ctx, int32_t w,
 
   // Batched I/O: the stock index leaves of every item go out as one fetch
   // before the probes, the stock rows as another after them.
-  PrefetchScope stock_prefetch(ctx);
+  ReadWave stock_leaves(ctx);
+  ReadWave stock_rows(ctx);
   if (batched_io_) {
     std::vector<Key128> skeys;
     skeys.reserve(items.size());
     for (int32_t i_id : items) skeys.push_back(StockKey(w, i_id));
-    NOFTL_RETURN_IF_ERROR(stock_prefetch.Submit(db_->s_idx, skeys));
+    NOFTL_RETURN_IF_ERROR(stock_leaves.Submit(db_->s_idx, skeys));
   }
   std::vector<RecordId> srids;
   srids.reserve(items.size());
@@ -666,7 +805,7 @@ Status TpccTransactions::StockLevel(txn::TxnContext* ctx, int32_t w,
     srids.push_back(RecordId::Unpack(*srid));
   }
   if (batched_io_) {
-    NOFTL_RETURN_IF_ERROR(stock_prefetch.Submit(db_->stock, srids));
+    NOFTL_RETURN_IF_ERROR(stock_rows.Submit(db_->stock, srids));
   }
   int low = 0;
   for (const RecordId& srid : srids) {

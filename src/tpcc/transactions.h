@@ -33,16 +33,20 @@ class TpccTransactions {
   /// match (clause 2.1.6.1).
   TpccTransactions(TpccDb* db, Rng* rng, NURand* nurand);
 
-  /// Batched I/O (default on): multi-row operations resolve their record
-  /// ids first and make the data pages resident through one batched
-  /// submission (NewOrder's item/stock rows, Delivery's and OrderStatus's
-  /// order lines, StockLevel's order-line and stock rows, the customers
-  /// matching a last name), point probes whose keys are known up front
-  /// submit their index leaves together (NewOrder's item/stock probes,
-  /// StockLevel's stock probes), and index range reads prefetch their
-  /// leaves. Off = the serial one-page-at-a-time
-  /// baseline (A/B measurements; identical logical behaviour and identical
-  /// rng consumption either way).
+  /// Batched I/O (default on): a transaction's independent reads go out
+  /// as read waves, one batched submission per dependency level, reaped by
+  /// the first access that needs one of them. NewOrder reads in two waves
+  /// (the customer, item, stock and order-by-customer index leaves, then
+  /// the customer, item and stock pages); Delivery in five across all its
+  /// districts (oldest-new-order leaves; new-order pages with the order
+  /// and order-line leaves; order pages; order-line pages with the
+  /// customer leaves; customer pages). Multi-row reads elsewhere resolve
+  /// their record ids first and fetch the pages as one wave (OrderStatus's
+  /// order lines, StockLevel's order-line rows, stock leaves and stock
+  /// rows, the customers matching a last name), and index range reads
+  /// prefetch their leaves. Off = the serial one-page-at-a-time baseline
+  /// (A/B measurements; identical logical behaviour, CPU charges and rng
+  /// consumption either way).
   void SetBatchedIo(bool on);
 
   /// Concurrency control for the threaded driver: one mutex per warehouse
@@ -89,6 +93,28 @@ class TpccTransactions {
                         CustomerRow* row);
   Status CustomerById(txn::TxnContext* ctx, int32_t w, int32_t d, int32_t c,
                       storage::RecordId* rid, CustomerRow* row);
+
+  /// One district's delivery: its oldest undelivered order and, once
+  /// resolved, the records Delivery updates.
+  struct DeliveryTarget {
+    int32_t d = 0;
+    Key128 no_key{};
+    storage::RecordId nrid;
+    int32_t o_id = 0;
+    storage::RecordId orid;
+    OrderRow orow{};
+    std::vector<storage::RecordId> lrids;  ///< line n at n - 1
+    storage::RecordId crid;
+  };
+  /// Find district t->d's oldest undelivered order (*found = false: none).
+  Status OldestNewOrder(txn::TxnContext* ctx, int32_t w, DeliveryTarget* t,
+                        bool* found);
+  /// Delivery's mutations for one found order: delete its NEW_ORDER entry,
+  /// set the carrier, stamp the lines, credit the customer. Batched I/O
+  /// hands in every id and the order row resolved; serially they are
+  /// resolved here, each read as it is needed.
+  Status DeliverOrder(txn::TxnContext* ctx, int32_t w, int32_t carrier,
+                      DeliveryTarget* t);
 
   int32_t RandomDistrict() {
     return static_cast<int32_t>(

@@ -38,6 +38,7 @@ struct TxnContext {
   // I/O accounting for this transaction.
   uint64_t pages_read = 0;        ///< synchronous flash reads awaited
   uint64_t read_wait_us = 0;      ///< total time spent waiting for reads
+  uint64_t read_waits = 0;        ///< times the transaction blocked on reads
   uint64_t pages_written_sync = 0;  ///< dirty evictions paid synchronously
   uint64_t write_wait_us = 0;
   uint64_t buffer_hits = 0;
@@ -47,12 +48,20 @@ struct TxnContext {
     start = now;
     pages_read = 0;
     read_wait_us = 0;
+    read_waits = 0;
     pages_written_sync = 0;
     write_wait_us = 0;
     buffer_hits = 0;
   }
 
   SimTime ResponseTime() const { return now - start; }
+
+  /// Charge one blocking read wait (zero = the data was already there).
+  void AddReadWait(uint64_t us) {
+    if (us == 0) return;
+    read_wait_us += us;
+    read_waits++;
+  }
 
   void AdvanceTo(SimTime t) { now = std::max(now, t); }
   void AddCpu(uint64_t us) { now += us; }

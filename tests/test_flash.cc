@@ -89,6 +89,30 @@ TEST_F(FlashDeviceTest, ProgramThenReadRoundTrips) {
   EXPECT_EQ(got.object_id, 7u);
 }
 
+TEST_F(FlashDeviceTest, ReadQueuedBehindLaterIssuedWorkIsCounted) {
+  // Dies serve ops in call order: a program issued at t=1000 reaches die 0
+  // first, so a read issued at t=0 waits behind work from its future.
+  auto data = PageOf('p');
+  auto w = device_.ProgramPage({0, 0, 0}, 1000, OpOrigin::kHost, data.data(),
+                               {});
+  ASSERT_TRUE(w.ok());
+  auto buf = PageOf(0);
+  auto r = device_.ReadPage({0, 0, 0}, 0, OpOrigin::kHost, buf.data(), nullptr);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.start, w.complete);
+  EXPECT_EQ(device_.stats().host_reads_behind_later, 1u);
+  EXPECT_EQ(device_.stats().host_read_wait_behind_later_us, w.complete);
+
+  // A read issued after the program, and one on an idle die, are not.
+  ASSERT_TRUE(device_.ReadPage({0, 0, 0}, 2000, OpOrigin::kHost, buf.data(),
+                               nullptr)
+                  .ok());
+  ASSERT_TRUE(
+      device_.ReadPage({1, 0, 0}, 0, OpOrigin::kHost, buf.data(), nullptr)
+          .ok());
+  EXPECT_EQ(device_.stats().host_reads_behind_later, 1u);
+}
+
 TEST_F(FlashDeviceTest, ErasedPageReadsAllOnes) {
   auto buf = PageOf(0);
   PageMetadata meta;

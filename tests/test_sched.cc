@@ -188,6 +188,51 @@ TEST(BackgroundSchedulerTest, ThrottleEngagesBelowLowReleasesAtHigh) {
   EXPECT_TRUE(mapper.VerifyIntegrity().ok());
 }
 
+TEST(BackgroundSchedulerTest, ThrottledBatchSubmitDeliversEverySlot) {
+  // A batch rejected at write admission yields no ticket, so nothing could
+  // ever reap its slots: they must all resolve, with the rejection, before
+  // SubmitBatch returns.
+  flash::FlashGeometry geo = TinyGeometry();
+  flash::FlashDevice device(geo, flash::FlashTiming{});
+  ftl::MapperOptions mo;
+  mo.gc_low_watermark = 0;
+  mo.gc_high_watermark = 2;
+  mo.throttle_low_watermark = 3;
+  mo.throttle_high_watermark = 5;
+  ftl::OutOfPlaceMapper mapper(&device, {0}, /*logical_pages=*/40, mo);
+  std::vector<char> data(geo.page_size, 'b');
+  SimTime t = 0;
+  for (int i = 0; i < 2000; i++) {
+    SimTime done = t;
+    if (!mapper.Write(static_cast<uint64_t>(i) % 40, t, OpOrigin::kHost,
+                      data.data(), 1, &done)
+             .ok()) {
+      break;
+    }
+    t = done;
+  }
+  ASSERT_GE(mapper.stats().throttle_busy, 1u);
+
+  // No reclaimer attached: the throttled batch — a read ahead of its
+  // writes included — comes back Busy with every slot filled.
+  std::vector<char> buf(geo.page_size);
+  storage::IoBatch batch;
+  batch.AddRead(0, buf.data());
+  batch.AddWrite(1, data.data(), 1);
+  batch.AddWrite(2, data.data(), 1);
+  storage::IoTicket ticket = 0;
+  Status s = mapper.SubmitBatch(batch.requests().data(), batch.size(), t,
+                                OpOrigin::kHost, &ticket);
+  ASSERT_TRUE(s.IsBusy()) << s.ToString();
+  EXPECT_EQ(ticket, 0u);
+  EXPECT_TRUE(batch.AllDone());
+  for (const storage::IoRequest& r : batch.requests()) {
+    EXPECT_TRUE(r.done);
+    EXPECT_TRUE(r.status.IsBusy()) << r.status.ToString();
+  }
+  EXPECT_TRUE(mapper.VerifyIntegrity().ok());
+}
+
 TEST(BackgroundSchedulerTest, QueuedScrubCompletesWithoutAnotherRead) {
   // Regression: a read-health scrub queued by the read path used to drain
   // only at the next read of the same mapper — a block disturbed by the

@@ -7,10 +7,12 @@
 // facade end to end.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -723,6 +725,61 @@ TEST(ShardFaultTest, DegradedShardIsReadOnlyAndSpillsAllocations) {
   EXPECT_TRUE(
       stack.space->WritePage(base[1] + 1, 0, w.data(), 1, nullptr).ok());
   EXPECT_TRUE(stack.rg(0)->VerifyIntegrity().ok());
+  EXPECT_TRUE(stack.rg(1)->VerifyIntegrity().ok());
+}
+
+TEST(ShardFaultTest, AtomicBatchIsWhollyRejectedOrWhollyAppliedUnderToggling) {
+  // The router may degrade a shard while a batch is being submitted. A
+  // single-shard atomic batch must see one answer for all its writes: either
+  // every slot is rejected ReadOnly or every write commits.
+  ShardedStack stack(2, ShardPlacement::kByKey);
+  auto e1 = stack.space->AllocateExtentHinted(16, 1);
+  ASSERT_TRUE(e1.ok());
+  ASSERT_EQ(ShardedSpace::ShardOf(*e1), 1u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> toggles{0};
+  std::thread toggler([&] {
+    for (bool on = true; !stop.load(); on = !on) {
+      stack.space->SetShardDegraded(1, on);
+      toggles++;
+    }
+  });
+  while (toggles.load() == 0) std::this_thread::yield();
+  std::vector<char> w = PagePattern(91);
+  SimTime t = 0;
+  int rejected = 0;
+  int applied = 0;
+  for (int i = 0; i < 20000; i++) {
+    IoBatch batch;
+    for (uint64_t k = 0; k < 4; k++) batch.AddWrite(*e1 + k, w.data(), 1);
+    batch.set_atomic(true);
+    SimTime done = t;
+    Status s = stack.space->RunBatch(&batch, t, &done);
+    ASSERT_TRUE(batch.AllDone());
+    int ok = 0;
+    for (const IoRequest& r : batch.requests()) {
+      if (r.status.ok()) {
+        ok++;
+      } else {
+        EXPECT_TRUE(r.status.IsReadOnly()) << r.status.ToString();
+      }
+    }
+    ASSERT_TRUE(ok == 0 || ok == 4) << "batch " << i << " tore: " << ok
+                                    << " of 4 writes applied";
+    if (ok == 0) {
+      EXPECT_TRUE(s.IsReadOnly()) << s.ToString();
+      rejected++;
+    } else {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      applied++;
+      t = done;
+    }
+  }
+  stop = true;
+  toggler.join();
+  stack.space->SetShardDegraded(1, false);
+  EXPECT_GT(rejected + applied, 0);
   EXPECT_TRUE(stack.rg(1)->VerifyIntegrity().ok());
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "shard/shard_router.h"
@@ -573,12 +574,72 @@ TEST(PlacementTest, FootprintEstimatesAreMemoized) {
   EXPECT_EQ(direct.size(), AllTpccObjects().size());
 }
 
+/// Every row's logical fields, one sorted line per row and table. The
+/// timestamps a run stamps (order entry, line delivery, history date)
+/// depend on simulated time and are left out; whether a line was delivered
+/// is kept.
+std::vector<std::string> LogicalContents(TpccDb* db) {
+  std::vector<std::string> out;
+  txn::TxnContext ctx;
+  auto scan = [&](storage::HeapFile* heap, auto row,
+                  auto describe) {
+    Status s = heap->Scan(&ctx, [&](storage::RecordId, Slice bytes) {
+      decltype(row) r;
+      EXPECT_EQ(bytes.size(), sizeof(r));
+      memcpy(&r, bytes.data(), sizeof(r));
+      out.push_back(describe(r));
+      return true;
+    });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  };
+  auto fmt = [](const char* f, auto... args) {
+    char buf[640];
+    snprintf(buf, sizeof(buf), f, args...);
+    return std::string(buf);
+  };
+  scan(db->warehouse, WarehouseRow{}, [&](const WarehouseRow& r) {
+    return fmt("W %d ytd=%a", r.w_id, r.ytd);
+  });
+  scan(db->district, DistrictRow{}, [&](const DistrictRow& r) {
+    return fmt("D %d %d ytd=%a next=%d", r.w_id, r.d_id, r.ytd, r.next_o_id);
+  });
+  scan(db->customer, CustomerRow{}, [&](const CustomerRow& r) {
+    return fmt("C %d %d %d bal=%a ytd=%a pay=%d del=%d data=%.500s", r.w_id,
+               r.d_id, r.c_id, r.balance, r.ytd_payment, r.payment_cnt,
+               r.delivery_cnt, r.data);
+  });
+  scan(db->history, HistoryRow{}, [&](const HistoryRow& r) {
+    return fmt("H %d %d %d %d %d amt=%a %.24s", r.c_w_id, r.c_d_id, r.c_id,
+               r.w_id, r.d_id, r.amount, r.data);
+  });
+  scan(db->new_order, NewOrderRow{}, [&](const NewOrderRow& r) {
+    return fmt("N %d %d %d", r.w_id, r.d_id, r.o_id);
+  });
+  scan(db->order, OrderRow{}, [&](const OrderRow& r) {
+    return fmt("O %d %d %d c=%d carrier=%d lines=%d local=%d", r.w_id, r.d_id,
+               r.o_id, r.c_id, r.carrier_id, r.ol_cnt, r.all_local);
+  });
+  scan(db->order_line, OrderLineRow{}, [&](const OrderLineRow& r) {
+    return fmt("L %d %d %d %d i=%d sw=%d q=%d amt=%a delivered=%d %.24s",
+               r.w_id, r.d_id, r.o_id, r.number, r.i_id, r.supply_w_id,
+               r.quantity, r.amount, r.delivery_d != 0 ? 1 : 0, r.dist_info);
+  });
+  scan(db->stock, StockRow{}, [&](const StockRow& r) {
+    return fmt("S %d %d q=%d ytd=%d orders=%d remote=%d", r.w_id, r.i_id,
+               r.quantity, r.ytd, r.order_cnt, r.remote_cnt);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(TpccDriverTest, BatchedIoMatchesSerialLogicallyOnSingleTerminal) {
   // One terminal makes the transaction order (and thus every rng draw)
   // independent of I/O timing: batched and serial runs must then commit the
   // same transactions and leave logically identical databases — same row
-  // counts, same index entry counts, same district sequences — while the
-  // batched run finishes no later in simulated time.
+  // counts, same index entry counts, same row contents (balances, delivery
+  // and payment counts, carriers, stock levels) — while the batched run
+  // finishes no later in simulated time.
+  std::vector<std::string> contents[2];
   auto RunMode = [&](bool batched, uint64_t* row_counts, SimTime* elapsed) {
     auto db = TpccDb::CreateAndLoad(SmallTpcc());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -604,6 +665,7 @@ TEST(TpccDriverTest, BatchedIoMatchesSerialLogicallyOnSingleTerminal) {
     for (auto* rg : (*db)->database()->regions()->regions()) {
       ASSERT_TRUE(rg->VerifyIntegrity().ok());
     }
+    contents[batched ? 1 : 0] = LogicalContents(db->get());
   };
   uint64_t serial_counts[16] = {0};
   uint64_t batched_counts[16] = {0};
@@ -614,7 +676,83 @@ TEST(TpccDriverTest, BatchedIoMatchesSerialLogicallyOnSingleTerminal) {
   for (int i = 0; i < 15; i++) {
     EXPECT_EQ(serial_counts[i], batched_counts[i]) << "count " << i;
   }
+  ASSERT_EQ(contents[0].size(), contents[1].size());
+  ASSERT_FALSE(contents[0].empty());
+  for (size_t i = 0; i < contents[0].size(); i++) {
+    ASSERT_EQ(contents[0][i], contents[1][i]) << "row " << i;
+  }
   EXPECT_LE(batched_elapsed, serial_elapsed);
+}
+
+// --- Read waves ------------------------------------------------------
+
+/// Flush every dirty page, then drop every page from the pool, so the next
+/// access of any page is a flash read. (The traditional placement keeps
+/// every table and index in one tablespace; DiscardTablespace would
+/// unregister it.)
+void MakePoolCold(TpccDb* db, txn::TxnContext* ctx) {
+  buffer::BufferPool* pool = db->database()->buffer();
+  ASSERT_TRUE(pool->FlushAll(ctx).ok());
+  std::set<storage::Tablespace*> spaces;
+  for (storage::HeapFile* heap :
+       {db->warehouse, db->district, db->customer, db->history,
+        db->new_order, db->order, db->order_line, db->item, db->stock}) {
+    spaces.insert(heap->tablespace());
+  }
+  for (storage::Tablespace* ts : spaces) {
+    for (uint64_t p = 0; p < ts->page_count(); p++) {
+      pool->Discard({ts->tablespace_id(), p});
+    }
+  }
+}
+
+/// Times one transaction blocks on reads from a cold pool, averaged over
+/// ten draws on the small database with the spec's ten districts.
+double ColdReadWaits(
+    bool batched,
+    const std::function<Status(TpccTransactions*, txn::TxnContext*)>& run) {
+  constexpr int kDraws = 10;
+  TpccDbOptions options = SmallTpcc();
+  options.scale.districts_per_warehouse = 10;
+  auto db = TpccDb::CreateAndLoad(options);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return 0;
+  TpccTransactions txns(db->get(), (*db)->rng(), (*db)->nurand());
+  txns.SetBatchedIo(batched);
+  txn::TxnContext ctx;
+  ctx.now = (*db)->load_end_time();
+  uint64_t waits = 0;
+  for (int i = 0; i < kDraws; i++) {
+    MakePoolCold(db->get(), &ctx);
+    ctx.Begin(ctx.now);
+    Status s = run(&txns, &ctx);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    waits += ctx.read_waits;
+  }
+  return static_cast<double>(waits) / kDraws;
+}
+
+TEST(TpccReadWaveTest, ColdDeliveryReadsInWavesAcrossDistricts) {
+  auto delivery = [](TpccTransactions* t, txn::TxnContext* ctx) {
+    return t->Delivery(ctx, 1);
+  };
+  const double batched = ColdReadWaits(true, delivery);
+  const double serial = ColdReadWaits(false, delivery);
+  // Five waves across the ten districts plus the serial inner-node and
+  // insert-free leftovers, against one wait per page read serially.
+  EXPECT_LE(batched, 12.0);
+  EXPECT_LE(5.0 * batched, serial);
+}
+
+TEST(TpccReadWaveTest, ColdNewOrderReadsInTwoWaves) {
+  const double batched =
+      ColdReadWaits(true, [](TpccTransactions* t, txn::TxnContext* ctx) {
+        bool committed = false;
+        return t->NewOrder(ctx, 1, &committed);
+      });
+  // Two waves for the probes and rows; the rest are the inserts' own misses
+  // and the inner nodes each index descent reads first.
+  EXPECT_LE(batched, 20.0);
 }
 
 TEST(TpccDriverTest, RunsAndReports) {

@@ -211,26 +211,6 @@ int Main(int argc, char** argv) {
     printf("  %-12s %12.2f %12.2f\n", tpcc::TxnTypeName(type),
            trad->MeanReadWaits(type), multi->MeanReadWaits(type));
   }
-  // The deterministic driver runs each transaction to completion before the
-  // next and dies serve ops in call order, so a read can queue behind work
-  // a terminal with a later clock issued first. Measured, not corrected.
-  printf("\nevent order (host reads queued behind later-issued work):\n");
-  for (const DriverReport* r : {&*trad, &*multi}) {
-    printf("  %-12s %10llu reads (%.1f%% of host reads), %.2f s wait "
-           "(%.1f%% of host read time)\n",
-           r == &*trad ? "traditional" : "regions",
-           static_cast<unsigned long long>(r->host_reads_behind_later),
-           r->host_read_ios
-               ? 100.0 * static_cast<double>(r->host_reads_behind_later) /
-                     static_cast<double>(r->host_read_ios)
-               : 0.0,
-           static_cast<double>(r->host_read_wait_behind_later_us) / 1e6,
-           r->host_read_total_us
-               ? 100.0 *
-                     static_cast<double>(r->host_read_wait_behind_later_us) /
-                     static_cast<double>(r->host_read_total_us)
-               : 0.0);
-  }
   printf("\nper-region detail (multi-region run):\n");
   PrintRegionDetail(multi_db.get(), multi_busy);
   return 0;

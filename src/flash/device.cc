@@ -16,9 +16,10 @@ FlashDevice::FlashDevice(const FlashGeometry& geometry, const FlashTiming& timin
       block.meta.resize(geometry_.pages_per_block);
       block.state.resize(geometry_.pages_per_block, PageState::kErased);
       block.unreadable.resize(geometry_.pages_per_block, 0);
+      block.written_at.resize(geometry_.pages_per_block, 0);
     }
   }
-  channels_busy_.resize(geometry_.channels, 0);
+  channels_.resize(geometry_.channels);
 }
 
 void FlashDevice::SetFaults(const FaultOptions& faults) {
@@ -61,13 +62,33 @@ Status FlashDevice::CheckAddr(const PhysAddr& addr) const {
   return Status::OK();
 }
 
-SimTime FlashDevice::OccupyDie(DieId die, SimTime issue, SimTime duration) {
+SimTime FlashDevice::BookDie(DieId die, SimTime ready, SimTime duration) {
   Die& d = dies_[die];
-  const SimTime start = std::max(issue, d.busy_until);
-  d.busy_until = start + duration;
-  d.horizon_issue = issue;
+  const Timeline::Fit fit = d.timeline.EarliestFit(ready, duration);
+  d.timeline.Reserve(fit, duration);
   d.busy_time += duration;
-  return start;
+  return fit.start;
+}
+
+SimTime FlashDevice::BookDieAndChannel(DieId die, SimTime ready,
+                                       SimTime duration, SimTime xfer_offset) {
+  Die& d = dies_[die];
+  Timeline& ch = channels_[geometry_.channel_of(die)];
+  const SimTime xfer = timing_.transfer_us;
+  // Alternate between the two timelines: each step moves `start` to the
+  // earliest time one of them allows, never past any time both allow, so
+  // the first start both accept is the earliest. Past both ends every
+  // start fits, so the walk ends.
+  Timeline::Fit on_die = d.timeline.EarliestFit(ready, duration);
+  Timeline::Fit on_ch = ch.EarliestFit(on_die.start + xfer_offset, xfer);
+  while (on_ch.start != on_die.start + xfer_offset) {
+    on_die = d.timeline.EarliestFit(on_ch.start - xfer_offset, duration);
+    on_ch = ch.EarliestFit(on_die.start + xfer_offset, xfer);
+  }
+  d.timeline.Reserve(on_die, duration);
+  ch.Reserve(on_ch, xfer);
+  d.busy_time += duration;
+  return on_die.start;
 }
 
 OpResult FlashDevice::ReadPage(const PhysAddr& addr, SimTime issue,
@@ -84,30 +105,15 @@ OpResult FlashDevice::ReadPageLocked(const PhysAddr& addr, SimTime issue,
   r.status = CheckAddr(addr);
   if (!r.status.ok()) return r;
 
-  // Array read occupies the die; the subsequent transfer occupies die+channel.
-  Die& die = dies_[addr.die];
-  const SimTime array_start = std::max(issue, die.busy_until);
-  if (origin == OpOrigin::kHost && array_start > issue &&
-      die.horizon_issue > issue) {
-    // Queued behind work issued later in simulated time: the die serves
-    // ops in call order, and a caller running ahead of this one got there
-    // first.
-    stats_.host_reads_behind_later++;
-    stats_.host_read_wait_behind_later_us += array_start - issue;
-  }
-  const SimTime array_done = array_start + timing_.read_us;
-  const uint32_t ch = geometry_.channel_of(addr.die);
-  const SimTime xfer_start = std::max(array_done, channels_busy_[ch]);
-  const SimTime xfer_done = xfer_start + timing_.transfer_us;
-  die.busy_until = xfer_done;
-  die.horizon_issue = issue;
-  die.busy_time += xfer_done - array_start;
-  channels_busy_[ch] = xfer_done;
-
-  r.start = array_start;
-  r.complete = xfer_done;
-
+  // The die holds the array read and the transfer; the channel carries the
+  // transfer. The array read starts once the page's program (or, for an
+  // erased page, its block's erase) is done.
   Block& block = BlockAt(addr.die, addr.block);
+  const SimTime ready = ReadyToRead(block, addr.page, issue);
+  const SimTime duration = timing_.read_us + timing_.transfer_us;
+  r.start = BookDieAndChannel(addr.die, ready, duration, timing_.read_us);
+  r.complete = r.start + duration;
+  block.booked_until = std::max(block.booked_until, r.complete);
   block.read_count++;
 
   // Read faults. The die/channel time is already charged — a failed read
@@ -191,14 +197,11 @@ Ticket FlashDevice::SubmitRead(const PageReadOp& op, SimTime issue,
                                OpOrigin origin) {
   NOFTL_ASSERT_NO_UPPER_LATCHES();
   MutexLock lock(mu_);
-  // The die accepts the op now: the schedule (start, completion, data
-  // capture at the op's position in the die's FIFO) is fixed at submission,
-  // but the result sits on the completion queue until reaped.
+  // The die accepts the op now: the schedule (start, completion) and the
+  // data capture are fixed at submission, but the result sits on the
+  // completion queue until reaped.
   const OpResult r = ReadPageLocked(op.addr, issue, origin, op.data, op.meta);
-  const Ticket t = next_ticket_++;
-  cq_.emplace(t, CqEntry{r, op.addr.die, origin});
-  if (origin == OpOrigin::kHost) dies_[op.addr.die].pending_host++;
-  return t;
+  return Enqueue(r, op.addr.die, origin);
 }
 
 Ticket FlashDevice::SubmitProgram(const PageProgramOp& op, SimTime issue,
@@ -207,9 +210,14 @@ Ticket FlashDevice::SubmitProgram(const PageProgramOp& op, SimTime issue,
   MutexLock lock(mu_);
   const OpResult r =
       ProgramPageLocked(op.addr, issue, origin, op.data, op.meta);
+  return Enqueue(r, op.addr.die, origin);
+}
+
+Ticket FlashDevice::Enqueue(const OpResult& result, DieId die,
+                            OpOrigin origin) {
   const Ticket t = next_ticket_++;
-  cq_.emplace(t, CqEntry{r, op.addr.die, origin});
-  if (origin == OpOrigin::kHost) dies_[op.addr.die].pending_host++;
+  cq_.emplace(t, CqEntry{result, die, origin});
+  if (origin == OpOrigin::kHost) dies_[die].pending_host++;
   return t;
 }
 
@@ -237,10 +245,12 @@ OpResult FlashDevice::ReadOob(const PhysAddr& addr, SimTime issue,
 
   // Array read only: the spare area is a few dozen bytes, so no channel
   // transfer is modelled. Streams on distinct dies therefore overlap fully.
-  r.start = OccupyDie(addr.die, issue, timing_.read_us);
+  Block& block = BlockAt(addr.die, addr.block);
+  r.start = BookDie(addr.die, ReadyToRead(block, addr.page, issue),
+                    timing_.read_us);
   r.complete = r.start + timing_.read_us;
+  block.booked_until = std::max(block.booked_until, r.complete);
 
-  const Block& block = BlockAt(addr.die, addr.block);
   if (meta != nullptr) {
     *meta = block.state[addr.page] == PageState::kProgrammed
                 ? block.meta[addr.page]
@@ -280,20 +290,16 @@ OpResult FlashDevice::ProgramPageLocked(const PhysAddr& addr, SimTime issue,
     return r;
   }
 
-  // Channel transfer first (host -> page register), then the array program.
-  Die& die = dies_[addr.die];
-  const uint32_t ch = geometry_.channel_of(addr.die);
-  const SimTime xfer_start =
-      std::max({issue, die.busy_until, channels_busy_[ch]});
-  const SimTime xfer_done = xfer_start + timing_.transfer_us;
-  channels_busy_[ch] = xfer_done;
-  const SimTime prog_done = xfer_done + timing_.program_us;
-  die.busy_until = prog_done;
-  die.horizon_issue = issue;
-  die.busy_time += prog_done - xfer_start;
-
-  r.start = xfer_start;
-  r.complete = prog_done;
+  // Channel transfer first (host -> page register), then the array
+  // program; the die is held for both. Pages of a block program in order,
+  // after the block's erase.
+  const SimTime duration = timing_.transfer_us + timing_.program_us;
+  r.start = BookDieAndChannel(addr.die, std::max(issue, block.written_until),
+                              duration, 0);
+  r.complete = r.start + duration;
+  block.written_at[addr.page] = r.complete;
+  block.written_until = r.complete;
+  block.booked_until = std::max(block.booked_until, r.complete);
 
   block.mutation_seq = ++mutation_seq_;
   if (InjectFault(addr.die, faults_.program_failure_rate)) {
@@ -347,8 +353,12 @@ OpResult FlashDevice::EraseBlock(DieId die_id, BlockId block_id, SimTime issue,
     return r;
   }
 
-  r.start = OccupyDie(die_id, issue, timing_.erase_us);
+  // Not before anything already booked on the block (reads of its pages,
+  // copybacks out of it) has finished.
+  r.start = BookDie(die_id, std::max(issue, block.booked_until),
+                    timing_.erase_us);
   r.complete = r.start + timing_.erase_us;
+  block.booked_until = r.complete;
 
   block.mutation_seq = ++mutation_seq_;
   if (InjectFault(die_id, faults_.erase_failure_rate)) {
@@ -359,12 +369,14 @@ OpResult FlashDevice::EraseBlock(DieId die_id, BlockId block_id, SimTime issue,
   }
 
   block.erase_count++;
+  block.written_until = r.complete;
   block.next_program = 0;
   block.read_count = 0;
   block.data.reset();
   std::fill(block.state.begin(), block.state.end(), PageState::kErased);
   std::fill(block.meta.begin(), block.meta.end(), PageMetadata{});
   std::fill(block.unreadable.begin(), block.unreadable.end(), uint8_t{0});
+  std::fill(block.written_at.begin(), block.written_at.end(), r.complete);
 
   stats_.erases[static_cast<int>(origin)]++;
   return r;
@@ -403,9 +415,16 @@ OpResult FlashDevice::Copyback(DieId die_id, BlockId src_block, PageId src_page,
   }
 
   // Entirely in-die: no channel occupancy. This is why GC relocation is
-  // cheaper than a host read+write of the same page.
-  r.start = OccupyDie(die_id, issue, timing_.copyback_us);
+  // cheaper than a host read+write of the same page. Ready once the source
+  // page is programmed and the destination is next in its block.
+  const SimTime ready = std::max(
+      {ReadyToRead(src, src_page, issue), dst.written_until});
+  r.start = BookDie(die_id, ready, timing_.copyback_us);
   r.complete = r.start + timing_.copyback_us;
+  dst.written_at[dst_page] = r.complete;
+  dst.written_until = r.complete;
+  src.booked_until = std::max(src.booked_until, r.complete);
+  dst.booked_until = std::max(dst.booked_until, r.complete);
 
   dst.mutation_seq = ++mutation_seq_;
   if (InjectFault(die_id, faults_.program_failure_rate)) {

@@ -10,14 +10,32 @@
 //     ascending order;
 //   * endurance: erasing beyond the configured cycle budget fails.
 //
-// Timing: each die and each channel has a "busy until" horizon. Operations
-// are scheduled at max(issue_time, die_free, channel_free) and the device
-// returns the completion time; it never advances any global clock itself, so
-// callers decide what is synchronous (host reads) and what runs in the
-// background (GC, flushers). This is how the simulation reproduces queueing
-// delay — the dominant term in the paper's 4 KB latencies — without threads.
+// Timing: every die and every channel keeps a timeline of reservations
+// (flash/timeline.h). An operation is booked at the earliest time, at or
+// after its *ready time*, at which its die is free — and, for a page
+// transfer, its channel too — so it backfills idle gaps left between
+// reservations instead of queueing behind whatever was booked last. No
+// reservation, once made, ever moves. The ready time is the issue time,
+// raised to what the flash array physically requires:
+//
+//   * a read (or a copyback source) starts after that page's program (an
+//     erased page: after its block's erase);
+//   * a program (or a copyback destination) starts after its block's erase
+//     and after the program of the block's previous page;
+//   * an erase starts after every op already booked on its block.
+//
+// A read holds the die for array read + transfer and needs the channel for
+// the transfer; a program holds the die for transfer + program and needs
+// the channel for the transfer; copyback, erase and OOB reads use the die
+// only. The device returns each op's start and completion; it never
+// advances any global clock itself, so callers decide what is synchronous
+// (host reads) and what runs in the background (GC, flushers). This is how
+// the simulation reproduces queueing delay — the dominant term in the
+// paper's 4 KB latencies — without threads. Flash array state (data,
+// metadata, program cursors) still changes in call order.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -29,6 +47,7 @@
 #include "common/status.h"
 #include "flash/geometry.h"
 #include "flash/stats.h"
+#include "flash/timeline.h"
 
 namespace noftl::flash {
 
@@ -155,13 +174,14 @@ class FlashDevice {
   OpResult ReadOob(const PhysAddr& addr, SimTime issue, OpOrigin origin,
                    PageMetadata* meta);
 
-  /// Vectored read submission: every op is issued at `issue` and scheduled
-  /// against the per-die busy-until clocks in submission order — ops on the
-  /// same die queue behind each other, ops on distinct dies overlap (their
-  /// channel transfers still contend per channel). `results[i]` receives the
-  /// i-th op's outcome; the submission completes at the max over the per-op
-  /// completion times. Equivalent to calling ReadPage once per op at the
-  /// same `issue`, so batched and serial execution are interchangeable.
+  /// Vectored read submission: every op is issued at `issue` and booked in
+  /// submission order, each at the earliest free time of its die and
+  /// channel (see the timing notes above) — ops on the same die serialize,
+  /// ops on distinct dies overlap (their transfers still share a channel).
+  /// `results[i]` receives the i-th op's outcome; the submission completes
+  /// at the max over the per-op completion times. Equivalent to calling
+  /// ReadPage once per op at the same `issue`, so batched and serial
+  /// execution are interchangeable.
   void ReadPages(const PageReadOp* ops, size_t count, SimTime issue,
                  OpOrigin origin, OpResult* results);
 
@@ -176,15 +196,14 @@ class FlashDevice {
   // --- Queued (submit/reap) surface -----------------------------------
   //
   // NVMe-style event-driven I/O: Submit* enqueues an operation and returns a
-  // ticket immediately — the caller's clock does not advance. The op enters
-  // its die's submission queue at `issue` and retires at the die's busy-until
-  // horizon exactly as the synchronous calls would schedule it (same-die ops
-  // retire FIFO in submission order; ops on distinct dies retire out of
-  // order, whichever die finishes first). Results are delivered only when
-  // reaped: WaitFor reaps one specific ticket, whose result says when the op
-  // completed. An op's side effects on the flash array are ordered by its
-  // position in the die queue, so submit-then-reap and call-and-resolve
-  // executions are byte-identical.
+  // ticket immediately — the caller's clock does not advance. The op is
+  // booked at submission exactly as the synchronous calls would book it:
+  // at the earliest free time of its die (and channel) at or after its
+  // ready time, so ops complete out of order whenever an earlier-ready op
+  // finds an idle gap. Results are delivered only when reaped: WaitFor reaps
+  // one specific ticket, whose result says when the op completed. An op's
+  // side effects on the flash array happen at submission, in call order, so
+  // submit-then-reap and call-and-resolve executions are byte-identical.
   //
   // Ownership: a ticket belongs to whoever submitted it, and only its
   // submitter reaps it — layers that share one device (e.g. two regions'
@@ -221,11 +240,11 @@ class FlashDevice {
     return dies_[die].pending_host;
   }
 
-  /// True when the die has retired everything by `now` and no submitted
+  /// True when the die's last reservation ends by `now` and no submitted
   /// host op is awaiting service or reap: safe to grant to background work.
   bool DieIdleAt(DieId die, SimTime now) const {
     MutexLock lock(mu_);
-    return dies_[die].busy_until <= now && dies_[die].pending_host == 0;
+    return dies_[die].timeline.end() <= now && dies_[die].pending_host == 0;
   }
 
   /// Program one page. `data` may be null for space-management-only
@@ -271,13 +290,21 @@ class FlashDevice {
     return mutation_seq_;
   }
   uint64_t BlockMutationSeq(DieId die, BlockId block) const;
+  /// End of the die's (channel's) last reservation; idle gaps before it
+  /// may still take earlier-ready ops.
   SimTime DieBusyUntil(DieId die) const {
     MutexLock lock(mu_);
-    return dies_[die].busy_until;
+    return dies_[die].timeline.end();
+  }
+  /// DieBusyUntil of `count` dies under one latch acquisition (write
+  /// placement compares a whole die set on every write).
+  void DiesBusyUntil(const DieId* dies, size_t count, SimTime* out) const {
+    MutexLock lock(mu_);
+    for (size_t i = 0; i < count; i++) out[i] = dies_[dies[i]].timeline.end();
   }
   SimTime ChannelBusyUntil(uint32_t ch) const {
     MutexLock lock(mu_);
-    return channels_busy_[ch];
+    return channels_[ch].end();
   }
 
   /// Accumulated busy time of a die (for utilization reports).
@@ -359,13 +386,22 @@ class FlashDevice {
     std::vector<PageMetadata> meta;
     std::vector<PageState> state;
     std::vector<uint8_t> unreadable;  ///< hard read failures; reset by erase
+    /// Completion (µs) of the op that last changed each page — its program
+    /// or copyback, or the block's erase: a read of the page starts no
+    /// earlier. Kept apart from `state`, and read only when the block
+    /// changed after the read's issue (ReadyToRead), so the hot per-page
+    /// bytes stay small.
+    std::vector<SimTime> written_at;
+    /// Completion of the block's latest erase, program or copyback-in: the
+    /// ready time of its next program (pages program in order, after the
+    /// erase).
+    SimTime written_until = 0;
+    SimTime booked_until = 0;  ///< end of the latest op booked on the block
   };
 
   struct Die {
     std::vector<Block> blocks;
-    SimTime busy_until = 0;
-    /// Issue time of the op that last extended busy_until.
-    SimTime horizon_issue = 0;
+    Timeline timeline;
     SimTime busy_time = 0;  ///< accumulated service time
     /// Submitted-unreaped host-origin queued ops (see DiePendingHostOps).
     uint32_t pending_host = 0;
@@ -396,10 +432,30 @@ class FlashDevice {
                              OpOrigin origin, const char* data,
                              const PageMetadata& meta) REQUIRES(mu_);
 
-  /// Reserve the die from max(issue, die busy) for `duration`; returns start.
-  SimTime OccupyDie(DieId die, SimTime issue, SimTime duration) REQUIRES(mu_);
+  /// Ready time of a read of `page` issued at `issue`: not before the op
+  /// that last changed the page. Every page of the block last changed by
+  /// written_until, so the per-page time is consulted only before that.
+  static SimTime ReadyToRead(const Block& block, PageId page, SimTime issue) {
+    return block.written_until <= issue
+               ? issue
+               : std::max(issue, block.written_at[page]);
+  }
+
+  /// Book `duration` of die time at the earliest free time >= `ready`;
+  /// returns the start.
+  SimTime BookDie(DieId die, SimTime ready, SimTime duration) REQUIRES(mu_);
+  /// Book `duration` of die time plus one page transfer on the die's
+  /// channel, `xfer_offset` into the die reservation, at the earliest time
+  /// >= `ready` at which both are free; returns the start.
+  SimTime BookDieAndChannel(DieId die, SimTime ready, SimTime duration,
+                            SimTime xfer_offset) REQUIRES(mu_);
 
   Status CheckAddr(const PhysAddr& addr) const;
+
+  /// Park a submitted op's result on the completion queue; returns its
+  /// ticket.
+  Ticket Enqueue(const OpResult& result, DieId die, OpOrigin origin)
+      REQUIRES(mu_);
 
   /// True if the next operation of the given kind (on `die`) should fail.
   bool InjectFault(DieId die, double rate) REQUIRES(mu_);
@@ -415,7 +471,7 @@ class FlashDevice {
   /// innermost latch of the I/O stack.
   mutable Mutex mu_{LockRank::kDevice};
   std::vector<Die> dies_ GUARDED_BY(mu_);
-  std::vector<SimTime> channels_busy_ GUARDED_BY(mu_);
+  std::vector<Timeline> channels_ GUARDED_BY(mu_);
   /// Completion queue: outstanding queued ops keyed by ticket (== submission
   /// order). The schedule is computed at submit (deterministic single-thread
   /// simulation); the entry holds the result until the caller reaps it.

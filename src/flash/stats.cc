@@ -26,8 +26,6 @@ void FlashStats::Reset() {
   programs.fill(0);
   erases.fill(0);
   copybacks.fill(0);
-  host_reads_behind_later = 0;
-  host_read_wait_behind_later_us = 0;
   host_read_latency_us.Reset();
   host_write_latency_us.Reset();
 }

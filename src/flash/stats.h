@@ -36,14 +36,6 @@ struct FlashStats {
   std::array<RelaxedCounter, kNumOrigins> erases{};
   std::array<RelaxedCounter, kNumOrigins> copybacks{};
 
-  /// Host reads that queued on a die whose busy horizon was last extended
-  /// by an op issued later in simulated time than the read, and their total
-  /// die-queue wait (µs). Dies serve ops in call order, so these count the
-  /// reads that waited behind work a caller running ahead of them issued
-  /// first — the event-order share of host read wait.
-  RelaxedCounter host_reads_behind_later = 0;
-  RelaxedCounter host_read_wait_behind_later_us = 0;
-
   /// Completion − issue for host-origin operations, µs.
   Histogram host_read_latency_us;
   Histogram host_write_latency_us;

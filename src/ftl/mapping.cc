@@ -298,37 +298,57 @@ Status OutOfPlaceMapper::AdmitHostWrite() {
   }
 }
 
+bool OutOfPlaceMapper::DieCanTakeWrite(DieState& ds) {
+  // Cheapest test first: a die above its last free block never needs GC
+  // to open a host block.
+  if (ds.free_count > 1 || ds.gc_victim != kNoBlock) return true;
+  if (ds.host_active != kNoBlock &&
+      device_->NextProgramPage(ds.die, ds.host_active) < pages_per_block_) {
+    return true;
+  }
+  // A candidate below the full bucket is a victim GC can reclaim.
+  uint64_t steps = 0;
+  return LowestVictimBucket(ds, &steps) < pages_per_block_;
+}
+
 DieId OutOfPlaceMapper::PickWriteDie(SimTime issue, bool avoid_throttled) {
   // Least-busy die of the set (ties broken round-robin): spreads bursty
   // write batches across the available parallelism instead of queueing them
   // blindly — §2's "better utilization of available Flash parallelism
-  // through intelligent data placement". A die already idle at `issue`
-  // starts the program immediately, and no die can start sooner, so the
-  // scan stops at the first such die in cursor order instead of probing
-  // the whole set on every write. Under admission control, host writes
-  // additionally steer clear of throttled dies (their remaining reserve
-  // belongs to the background reclaimer) unless every die is throttled.
+  // through intelligent data placement". Dies rank before their horizons
+  // count: one that cannot take the write (DieCanTakeWrite) comes last, and
+  // under admission control a throttled die (its remaining reserve belongs
+  // to the background reclaimer) comes after every clear one. A die of the
+  // best rank already idle at `issue` starts the program immediately, and
+  // no die can start sooner, so the scan stops at the first such die in
+  // cursor order.
   const bool steer = avoid_throttled && options_.throttle_low_watermark > 0;
-  DieId best = dies_[write_cursor_ % dies_.size()];
+  const size_t n = dies_.size();
+  die_busy_.resize(n);
+  device_->DiesBusyUntil(dies_.data(), n, die_busy_.data());
+  size_t at = write_cursor_++ % n;
+  DieId best = dies_[at];
   SimTime best_busy = ~SimTime{0};
-  bool best_clear = false;
-  for (size_t i = 0; i < dies_.size(); i++) {
-    const DieId candidate = dies_[(write_cursor_ + i) % dies_.size()];
-    const bool clear = !steer || !DieThrottled(StateOf(candidate));
-    if (best_clear && !clear) continue;
-    const SimTime busy = device_->DieBusyUntil(candidate);
-    if (clear && busy <= issue) {
-      best = candidate;
-      break;
+  int best_rank = 3;
+  const auto beats_best = [&](int rank, SimTime busy) {
+    return rank < best_rank || (rank == best_rank && busy < best_busy);
+  };
+  for (size_t i = 0; i < n; i++, at = at + 1 == n ? 0 : at + 1) {
+    const DieId candidate = dies_[at];
+    const SimTime busy = die_busy_[at];
+    int rank = steer && DieThrottled(StateOf(candidate)) ? 1 : 0;
+    if (!beats_best(rank, busy)) continue;
+    // Almost every die can take the write, so that is asked only of a die
+    // that would otherwise become the best.
+    if (!DieCanTakeWrite(StateOf(candidate))) {
+      rank = 2;
+      if (!beats_best(rank, busy)) continue;
     }
-    // A clear die displaces a throttled best whatever their horizons.
-    if ((clear && !best_clear) || busy < best_busy) {
-      best = candidate;
-      best_busy = busy;
-      best_clear = clear;
-    }
+    if (rank == 0 && busy <= issue) return candidate;
+    best = candidate;
+    best_busy = busy;
+    best_rank = rank;
   }
-  write_cursor_++;
   return best;
 }
 
@@ -715,9 +735,9 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
       case IoOp::kRead: {
         // Translate now (reads never change the mapping, so up-front
         // translation equals translating each read at its turn) and enqueue
-        // on the device: the op enters its die's submission queue at `issue`
-        // and the die services queued ops FIFO, so reads of one batch that
-        // land on distinct dies overlap. The result stays on the device CQ
+        // on the device: each op is booked at `issue` on its die's timeline
+        // in submission order, so reads of one batch that land on distinct
+        // dies overlap. The result stays on the device CQ
         // until the caller reaps it.
         if (r.lpn >= logical_pages_) {
           io.status = Status::OutOfRange("lpn out of range");
@@ -1353,6 +1373,16 @@ Status OutOfPlaceMapper::TrimLocked(uint64_t lpn) {
   return Status::OK();
 }
 
+uint32_t OutOfPlaceMapper::LowestVictimBucket(DieState& ds, uint64_t* steps) {
+  // Advance the cached minimum over empty buckets (amortized O(1): inserts
+  // below the hint lower it again).
+  uint32_t lo = ds.min_bucket;
+  while (lo < pages_per_block_ && ds.bucket_head[lo] == kNoBlock) lo++;
+  *steps += lo - ds.min_bucket + 1;
+  ds.min_bucket = lo;
+  return lo;
+}
+
 uint32_t OutOfPlaceMapper::PickVictimImpl(DieState& ds, SimTime now,
                                           VictimIndex index, uint64_t* steps) {
   const uint32_t P = pages_per_block_;
@@ -1411,15 +1441,7 @@ uint32_t OutOfPlaceMapper::PickVictimImpl(DieState& ds, SimTime now,
     return best;
   }
 
-  // Bucket index: advance the cached minimum over empty buckets (amortized
-  // O(1): inserts below the hint lower it again).
-  uint32_t lo = ds.min_bucket;
-  while (lo < P && ds.bucket_head[lo] == kNoBlock) {
-    lo++;
-    (*steps)++;
-  }
-  ds.min_bucket = lo;
-  (*steps)++;
+  const uint32_t lo = LowestVictimBucket(ds, steps);
   if (lo >= P) return kNoBlock;  // only fully-valid candidates (or none)
 
   if (options_.victim_policy == VictimPolicy::kGreedy) {

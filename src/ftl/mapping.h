@@ -663,11 +663,17 @@ class OutOfPlaceMapper {
 
   /// Next die for a host write issued at `issue`: the least-busy die of the
   /// set, ties broken round-robin; exits early at the first die already
-  /// idle at `issue` (no die can start the program sooner). With
-  /// `avoid_throttled` (host writes under admission control), dies below
-  /// their free-block reserve are skipped while any die is clear.
+  /// idle at `issue` (no die can start the program sooner). Dies that
+  /// cannot take the write (DieCanTakeWrite) are skipped while another can.
+  /// With `avoid_throttled` (host writes under admission control), dies
+  /// below their free-block reserve are skipped while any die is clear.
   flash::DieId PickWriteDie(SimTime issue, bool avoid_throttled)
       REQUIRES(mu_);
+
+  /// False when a host write to the die would fail with NoSpace: its host
+  /// block is full, it is down to the free block reserved for GC, and GC
+  /// has no victim to reclaim.
+  bool DieCanTakeWrite(DieState& ds) REQUIRES(mu_);
 
   /// Hysteresis update + query of the die's write-admission throttle.
   bool DieThrottled(DieState& ds) REQUIRES(mu_);
@@ -822,6 +828,10 @@ class OutOfPlaceMapper {
   Status SalvageSupersededCopy(uint64_t lpn, SimTime issue, char* data,
                                SimTime* complete) REQUIRES(mu_);
 
+  /// Lowest non-empty candidate bucket of the die (pages_per_block_ when
+  /// only fully-valid candidates, or none, are left); advances the cached
+  /// min_bucket. Buckets examined are added to `*steps`.
+  uint32_t LowestVictimBucket(DieState& ds, uint64_t* steps) REQUIRES(mu_);
   /// Pick a GC victim; kNoBlock if none eligible. Steps examined are added
   /// to `*steps` (stats attribution).
   uint32_t PickVictimImpl(DieState& ds, SimTime now, VictimIndex index,
@@ -981,6 +991,8 @@ class OutOfPlaceMapper {
   uint64_t base_full_epoch_ GUARDED_BY(mu_) = 0;
   uint64_t total_valid_ GUARDED_BY(mu_) = 0;
   size_t write_cursor_ GUARDED_BY(mu_) = 0;  ///< round-robin die cursor
+  /// PickWriteDie's per-call copy of the dies' busy horizons (dies_ order).
+  std::vector<SimTime> die_busy_ GUARDED_BY(mu_);
   uint64_t next_batch_id_ GUARDED_BY(mu_) = 1;
   /// Highest atomic-batch id committed so far; stamped into the OOB metadata
   /// of every subsequent program (see PageMetadata::committed_upto).

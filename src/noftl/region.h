@@ -71,7 +71,7 @@ class Region {
 
   /// Submission entry point: enqueue every request of the batch at `issue`
   /// and return a ticket immediately (write requests carry their owning
-  /// object id). Same-die requests queue FIFO, cross-die requests proceed
+  /// object id). Same-die requests serialize, cross-die requests proceed
   /// in parallel; completion slots are filled only when the caller reaps
   /// via WaitBatch, so computation between submit and reap overlaps with
   /// the in-flight flash work. An atomic batch (writes only)

@@ -27,7 +27,7 @@
 // matches a single device: the batch retires at the max over shards, the
 // parent's completion slots are filled at the reap (each shard's sub-batch is
 // reaped, then its mirrored slots are copied back to their parent requests),
-// and same-shard requests keep their submission-order FIFO. A
+// and same-shard requests are booked in submission order. A
 // batch whose requests all live on shard 0 (notably: every batch of a
 // 1-shard space) is passed through untouched, so a 1-shard ShardedSpace is
 // operation-for-operation identical to the unsharded stack. Atomic batches

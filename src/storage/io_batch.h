@@ -6,8 +6,8 @@
 // the caller's clock even when the pages live on different dies. An IoBatch
 // instead carries N reads/writes/trims with *per-request completion slots*;
 // the provider enqueues every request at the batch's issue time, the device
-// overlaps requests that land on distinct dies (same-die requests queue in
-// submission order behind the die's busy horizon), and the batch completes
+// overlaps requests that land on distinct dies (same-die requests are booked
+// in submission order on the die's timeline), and the batch completes
 // at the max — not the sum — of the per-request completion times.
 //
 // The surface is event-driven, NVMe-style: SubmitBatch returns an IoTicket

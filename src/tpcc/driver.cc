@@ -32,8 +32,6 @@ struct DeviceTotals {
   uint64_t host_writes = 0;
   uint64_t gc_copybacks = 0;
   uint64_t gc_erases = 0;
-  uint64_t reads_behind_later = 0;
-  uint64_t wait_behind_later_us = 0;
 };
 
 DeviceTotals CollectDeviceTotals(db::Database* dbase) {
@@ -43,8 +41,6 @@ DeviceTotals CollectDeviceTotals(db::Database* dbase) {
     t.host_writes += dev->stats().host_writes();
     t.gc_copybacks += dev->stats().gc_copybacks();
     t.gc_erases += dev->stats().gc_erases();
-    t.reads_behind_later += dev->stats().host_reads_behind_later;
-    t.wait_behind_later_us += dev->stats().host_read_wait_behind_later_us;
   });
   return t;
 }
@@ -102,10 +98,6 @@ void FillDeviceReport(db::Database* dbase, const DeviceTotals& base,
   report->host_write_ios = totals.host_writes - base.host_writes;
   report->gc_copybacks = totals.gc_copybacks - base.gc_copybacks;
   report->gc_erases = totals.gc_erases - base.gc_erases;
-  report->host_reads_behind_later =
-      totals.reads_behind_later - base.reads_behind_later;
-  report->host_read_wait_behind_later_us =
-      totals.wait_behind_later_us - base.wait_behind_later_us;
   Histogram read_lat;
   Histogram write_lat;
   uint64_t programs = 0;
@@ -128,7 +120,6 @@ void FillDeviceReport(db::Database* dbase, const DeviceTotals& base,
     devices++;
   });
   report->read_4k_us = read_lat.Mean();
-  report->host_read_total_us = read_lat.sum();
   report->write_4k_us = write_lat.Mean();
   report->write_amplification =
       totals.host_writes

@@ -141,11 +141,6 @@ struct DriverReport {
   uint64_t host_read_ios = 0;
   uint64_t host_write_ios = 0;
   double read_4k_us = 0;   ///< mean host read latency
-  uint64_t host_read_total_us = 0;  ///< host read latency summed
-  /// Host reads that waited on a die behind work issued later in simulated
-  /// time, and that wait summed (flash::FlashStats::host_reads_behind_later).
-  uint64_t host_reads_behind_later = 0;
-  uint64_t host_read_wait_behind_later_us = 0;
   double write_4k_us = 0;  ///< mean host write latency
   uint64_t gc_copybacks = 0;
   uint64_t gc_erases = 0;

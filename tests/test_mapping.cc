@@ -152,6 +152,36 @@ TEST_F(MapperTest, WriteDiePickSkipsBusyDieAtIssue) {
   EXPECT_EQ(mapper_.Lookup(0)->die, 1u);
 }
 
+TEST(MapperWriteDieTest, WriteDiePickSkipsDieThatCannotTakeTheWrite) {
+  // Die 1 is booked far into the future, so the least-busy pick keeps
+  // choosing die 0. Once die 0 is full of valid pages (no GC victim, last
+  // free block reserved for GC), the pick must move to die 1 instead of
+  // failing the write with NoSpace.
+  const flash::FlashGeometry geo = TinyGeometry();
+  flash::FlashDevice device(geo, flash::FlashTiming{});
+  OutOfPlaceMapper mapper(&device, {0, 1}, /*logical_pages=*/160,
+                          MapperOptions{});
+  ASSERT_TRUE(mapper.CheckCapacity().ok());
+  ASSERT_TRUE(device
+                  .ReadPage({1, 0, 0}, /*issue=*/1'000'000'000,
+                            flash::OpOrigin::kMeta, nullptr, nullptr)
+                  .ok());
+  // More distinct pages than die 0 holds.
+  ASSERT_GT(160u, static_cast<uint64_t>(geo.blocks_per_die) *
+                      geo.pages_per_block);
+  for (uint64_t lpn = 0; lpn < 160; lpn++) {
+    ASSERT_TRUE(
+        mapper.Write(lpn, 0, flash::OpOrigin::kHost, nullptr, 0, nullptr).ok())
+        << "lpn " << lpn;
+  }
+  uint64_t on_die1 = 0;
+  for (uint64_t lpn = 0; lpn < 160; lpn++) {
+    if (mapper.Lookup(lpn)->die == 1) on_die1++;
+  }
+  EXPECT_GT(on_die1, 0u);
+  EXPECT_TRUE(mapper.VerifyIntegrity().ok());
+}
+
 TEST_F(MapperTest, GcReclaimsInvalidatedSpace) {
   // Overwrite a small working set many times: GC must kick in and the
   // mapper must stay consistent.

@@ -16,7 +16,6 @@ FlashDevice::FlashDevice(const FlashGeometry& geometry, const FlashTiming& timin
       block.meta.resize(geometry_.pages_per_block);
       block.state.resize(geometry_.pages_per_block, PageState::kErased);
       block.unreadable.resize(geometry_.pages_per_block, 0);
-      block.written_at.resize(geometry_.pages_per_block, 0);
     }
   }
   channels_.resize(geometry_.channels);
@@ -297,7 +296,7 @@ OpResult FlashDevice::ProgramPageLocked(const PhysAddr& addr, SimTime issue,
   r.start = BookDieAndChannel(addr.die, std::max(issue, block.written_until),
                               duration, 0);
   r.complete = r.start + duration;
-  block.written_at[addr.page] = r.complete;
+  WrittenAt(block)[addr.page] = r.complete;
   block.written_until = r.complete;
   block.booked_until = std::max(block.booked_until, r.complete);
 
@@ -376,7 +375,7 @@ OpResult FlashDevice::EraseBlock(DieId die_id, BlockId block_id, SimTime issue,
   std::fill(block.state.begin(), block.state.end(), PageState::kErased);
   std::fill(block.meta.begin(), block.meta.end(), PageMetadata{});
   std::fill(block.unreadable.begin(), block.unreadable.end(), uint8_t{0});
-  std::fill(block.written_at.begin(), block.written_at.end(), r.complete);
+  std::fill_n(WrittenAt(block), geometry_.pages_per_block, r.complete);
 
   stats_.erases[static_cast<int>(origin)]++;
   return r;
@@ -421,7 +420,7 @@ OpResult FlashDevice::Copyback(DieId die_id, BlockId src_block, PageId src_page,
       {ReadyToRead(src, src_page, issue), dst.written_until});
   r.start = BookDie(die_id, ready, timing_.copyback_us);
   r.complete = r.start + timing_.copyback_us;
-  dst.written_at[dst_page] = r.complete;
+  WrittenAt(dst)[dst_page] = r.complete;
   dst.written_until = r.complete;
   src.booked_until = std::max(src.booked_until, r.complete);
   dst.booked_until = std::max(dst.booked_until, r.complete);

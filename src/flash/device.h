@@ -390,8 +390,9 @@ class FlashDevice {
     /// or copyback, or the block's erase: a read of the page starts no
     /// earlier. Kept apart from `state`, and read only when the block
     /// changed after the read's issue (ReadyToRead), so the hot per-page
-    /// bytes stay small.
-    std::vector<SimTime> written_at;
+    /// bytes stay small. Allocated by the block's first program or erase
+    /// (WrittenAt), like `data`, so building a device stays cheap.
+    std::unique_ptr<SimTime[]> written_at;
     /// Completion of the block's latest erase, program or copyback-in: the
     /// ready time of its next program (pages program in order, after the
     /// erase).
@@ -435,10 +436,19 @@ class FlashDevice {
   /// Ready time of a read of `page` issued at `issue`: not before the op
   /// that last changed the page. Every page of the block last changed by
   /// written_until, so the per-page time is consulted only before that.
+  /// written_until > 0 only once written_at exists.
   static SimTime ReadyToRead(const Block& block, PageId page, SimTime issue) {
     return block.written_until <= issue
                ? issue
                : std::max(issue, block.written_at[page]);
+  }
+
+  /// The block's written_at, allocated (zeroed) on first use.
+  SimTime* WrittenAt(Block& block) const {
+    if (block.written_at == nullptr) {
+      block.written_at = std::make_unique<SimTime[]>(geometry_.pages_per_block);
+    }
+    return block.written_at.get();
   }
 
   /// Book `duration` of die time at the earliest free time >= `ready`;

@@ -11,9 +11,16 @@
 using namespace noftl;
 
 namespace {
-void Show(db::Database* db, const char* sql) {
+int unexpected = 0;
+
+/// Run one statement and print its outcome. `refused` marks a statement the
+/// tour expects to fail; any other outcome is counted and fails the run.
+void Show(db::Database* db, const char* sql, bool refused = false) {
   Status s = db->ExecuteDdl(sql);
-  printf("%-74s -> %s\n", sql, s.ToString().c_str());
+  const bool surprise = s.ok() == refused;
+  if (surprise) unexpected++;
+  printf("%-74s -> %s%s\n", sql, s.ToString().c_str(),
+         surprise ? "  (UNEXPECTED)" : "");
 }
 }  // namespace
 
@@ -38,11 +45,11 @@ int main() {
   Show(db->get(), "CREATE INDEX o_idx ON ORDERS (o_id)");
 
   printf("\n== the DBA cannot overcommit or dangle references\n");
-  Show(db->get(), "CREATE REGION rgHuge (MAX_CHIPS=99)");
-  Show(db->get(), "CREATE REGION rgTight (MAX_CHIPS=1, MAX_SIZE=1G)");
-  Show(db->get(), "CREATE TABLESPACE tsBad (REGION=rgGhost)");
-  Show(db->get(), "CREATE TABLE T2 (x NUMBER(1)) TABLESPACE tsGhost");
-  Show(db->get(), "DROP REGION rgHot");  // Busy: tsHot uses it
+  Show(db->get(), "CREATE REGION rgHuge (MAX_CHIPS=99)", true);
+  Show(db->get(), "CREATE REGION rgTight (MAX_CHIPS=1, MAX_SIZE=1G)", true);
+  Show(db->get(), "CREATE TABLESPACE tsBad (REGION=rgGhost)", true);
+  Show(db->get(), "CREATE TABLE T2 (x NUMBER(1)) TABLESPACE tsGhost", true);
+  Show(db->get(), "DROP REGION rgHot", true);  // Busy: tsHot uses it
 
   printf("\n== catalog view\n");
   for (const auto& name : (*db)->TableNames()) {
@@ -63,12 +70,17 @@ int main() {
 
   printf("\n== regions are dynamic (paper: die sets change over time)\n");
   Show(db->get(), "ALTER REGION rgHot ADD CHIPS 2");
-  Show(db->get(), "ALTER REGION rgHot ADD CHIPS 99");
+  Show(db->get(), "ALTER REGION rgHot ADD CHIPS 99", true);
   Show(db->get(), "ALTER REGION rgCold REMOVE CHIPS 1");
 
   printf("\n== cleanup\n");
   Show(db->get(), "DROP INDEX o_idx");
   Show(db->get(), "DROP TABLE ORDERS");
-  Show(db->get(), "DROP REGION rgCold");  // still Busy (tsCold)
+  Show(db->get(), "DROP REGION rgCold", true);  // still Busy (tsCold)
+  if (unexpected != 0) {
+    fprintf(stderr, "%d statement(s) did not behave as expected\n",
+            unexpected);
+    return 1;
+  }
   return 0;
 }

@@ -19,6 +19,12 @@ struct Outcome {
   double wa;
 };
 
+void CheckOk(const Status& s, const char* what) {
+  if (s.ok()) return;
+  fprintf(stderr, "%s failed: %s\n", what, s.ToString().c_str());
+  exit(1);
+}
+
 Outcome Run(bool separate) {
   db::DatabaseOptions options;
   options.geometry.channels = 4;
@@ -30,6 +36,7 @@ Outcome Run(bool separate) {
   options.geometry.page_size = 2048;
   options.buffer.frame_count = 64;  // tiny pool -> updates reach flash
   auto db = db::Database::Open(options);
+  CheckOk(db.status(), "open");
 
   // Placement: either both tables share one region, or the hot table gets
   // its own region with most of the spare dies.
@@ -46,10 +53,7 @@ Outcome Run(bool separate) {
                        "CREATE TABLESPACE tsAll (REGION=rgAll);"
                        "CREATE TABLE COUNTERS (c NUMBER(8)) TABLESPACE tsAll;"
                        "CREATE TABLE LEDGER (l NUMBER(8)) TABLESPACE tsAll;");
-  if (!s.ok()) {
-    fprintf(stderr, "setup failed: %s\n", s.ToString().c_str());
-    exit(1);
-  }
+  CheckOk(s, "setup");
 
   storage::HeapFile* counters = (*db)->GetTable("COUNTERS");
   storage::HeapFile* ledger = (*db)->GetTable("LEDGER");
@@ -60,17 +64,15 @@ Outcome Run(bool separate) {
   // updated constantly (hot).
   std::vector<storage::RecordId> counter_rids;
   for (int i = 0; i < 4000; i++) {
-    counter_rids.push_back(*counters->Insert(&ctx, std::string(120, 'c')));
+    auto rid = counters->Insert(&ctx, std::string(120, 'c'));
+    CheckOk(rid.status(), "counter insert");
+    counter_rids.push_back(*rid);
   }
   for (int i = 0; i < 24000; i++) {
     auto rid = ledger->Insert(&ctx, std::string(120, 'l'));
-    if (!rid.ok()) {
-      fprintf(stderr, "ledger insert failed: %s\n",
-              rid.status().ToString().c_str());
-      exit(1);
-    }
+    CheckOk(rid.status(), "ledger insert");
   }
-  (*db)->Checkpoint(&ctx);
+  CheckOk((*db)->Checkpoint(&ctx), "checkpoint");
   (*db)->device()->stats().Reset();
 
   // Steady state: hammer the counters, trickle the ledger.
@@ -78,17 +80,14 @@ Outcome Run(bool separate) {
     for (int i = 0; i < 100; i++) {
       const auto& rid = counter_rids[rng.Below(counter_rids.size())];
       std::string row(120, static_cast<char>('A' + round % 26));
-      Status u = counters->Update(&ctx, rid, row);
-      if (!u.ok()) {
-        fprintf(stderr, "update failed: %s\n", u.ToString().c_str());
-        exit(1);
-      }
+      CheckOk(counters->Update(&ctx, rid, row), "update");
     }
     for (int i = 0; i < 4; i++) {
-      ledger->Insert(&ctx, std::string(120, 'l'));
+      CheckOk(ledger->Insert(&ctx, std::string(120, 'l')).status(),
+              "ledger insert");
     }
   }
-  (*db)->Checkpoint(&ctx);
+  CheckOk((*db)->Checkpoint(&ctx), "checkpoint");
 
   const auto& stats = (*db)->device()->stats();
   return {stats.gc_copybacks(), stats.gc_erases(), stats.WriteAmplification()};

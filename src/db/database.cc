@@ -1,10 +1,6 @@
 #include "db/database.h"
 
-#include <algorithm>
-#include <cassert>
-
 #include "common/logging.h"
-#include "ftl/checkpoint.h"
 
 namespace noftl::db {
 
@@ -13,50 +9,28 @@ Database::~Database() = default;
 
 Result<std::unique_ptr<Database>> Database::Open(
     const DatabaseOptions& options) {
-  NOFTL_RETURN_IF_ERROR(options.geometry.Validate());
   auto db = std::unique_ptr<Database>(new Database(options));
   // Flash-native MVCC: every region mapper created below (programmatic or
-  // DDL, single-device or fanned out per shard) watches this horizon; when
-  // no snapshot is ever opened the horizon stays at zero and the mappers
-  // behave byte-identically to a build without it.
+  // DDL, fanned out per shard) watches this horizon; when no snapshot is
+  // ever opened the horizon stays at zero and the mappers behave
+  // byte-identically to a build without it.
   db->snapshots_ = std::make_unique<mvcc::SnapshotManager>();
   db->options_.default_mapper.snapshots = db->snapshots_->horizon();
-  if (options.sharding.shard_count >= 2) {
-    // Multi-device scale-out: one full device stack per shard behind the
-    // shard router; everything above the SpaceProvider line is unchanged.
-    shard::ShardRouterOptions ro;
-    ro.shard = options.sharding;
-    ro.backend = options.backend == Backend::kNoFtl
-                     ? shard::ShardBackend::kNoFtl
-                     : shard::ShardBackend::kFtl;
-    ro.geometry = options.geometry;
-    ro.timing = options.timing;
-    ro.ftl = options.ftl;
-    ro.global_wl = options.global_wl;
-    ro.scheduler = options.scheduler;
-    auto router = shard::ShardRouter::Open(ro);
-    if (!router.ok()) return router.status();
-    db->shard_router_ = std::move(*router);
-  } else {
-    db->device_ =
-        std::make_unique<flash::FlashDevice>(options.geometry, options.timing);
-    if (options.backend == Backend::kNoFtl) {
-      db->region_manager_ = std::make_unique<region::RegionManager>(
-          db->device_.get(), options.global_wl);
-    } else {
-      db->ftl_ =
-          std::make_unique<ftl::PageMappingFtl>(db->device_.get(), options.ftl);
-      db->ftl_space_ = std::make_unique<storage::FtlSpace>(db->ftl_.get());
-    }
-    if (options.scheduler.enabled) {
-      db->scheduler_ = std::make_unique<sched::BackgroundScheduler>(
-          db->device_.get(), options.scheduler);
-      // The FTL mapper exists now; region mappers register through DDL.
-      if (db->ftl_ != nullptr) {
-        db->scheduler_->RegisterMapper(&db->ftl_->mapper());
-      }
-    }
-  }
+  // One full device stack per shard behind the shard router (one shard by
+  // default); everything above the SpaceProvider line is the same at every
+  // shard count. The router validates the geometry and the shard count.
+  shard::ShardRouterOptions ro;
+  ro.shard = options.sharding;
+  ro.backend = options.backend == Backend::kNoFtl ? shard::ShardBackend::kNoFtl
+                                                  : shard::ShardBackend::kFtl;
+  ro.geometry = options.geometry;
+  ro.timing = options.timing;
+  ro.ftl = options.ftl;
+  ro.global_wl = options.global_wl;
+  ro.scheduler = options.scheduler;
+  auto router = shard::ShardRouter::Open(ro);
+  if (!router.ok()) return router.status();
+  db->shard_router_ = std::move(*router);
   db->buffer_ = std::make_unique<buffer::BufferPool>(
       options.buffer, options.geometry.page_size);
   return db;
@@ -64,32 +38,17 @@ Result<std::unique_ptr<Database>> Database::Open(
 
 void Database::ForEachDevice(
     const std::function<void(flash::FlashDevice*)>& fn) {
-  if (shard_router_ != nullptr) {
-    for (size_t s = 0; s < shard_router_->shard_count(); s++) {
-      fn(shard_router_->device(s));
-    }
-    return;
+  for (size_t s = 0; s < shard_router_->shard_count(); s++) {
+    fn(shard_router_->device(s));
   }
-  fn(device_.get());
 }
 
 DatabaseHealth Database::UpdateHealth() {
   DatabaseHealth health;
-  if (shard_router_ != nullptr) {
-    health.shards = shard_router_->UpdateHealth();
-    for (const shard::ShardHealthStatus& h : health.shards) {
-      if (h.degraded) health.any_degraded = true;
-    }
-    return health;
+  health.shards = shard_router_->UpdateHealth();
+  for (const shard::ShardHealthStatus& h : health.shards) {
+    if (h.degraded) health.any_degraded = true;
   }
-  // Single-device stack: report the device as pseudo-shard 0. There is no
-  // healthy sibling to degrade onto, so the budget never flips it.
-  shard::ShardHealthStatus h;
-  h.shard = 0;
-  h.hard_faults = device_->read_failures_hard() + device_->erase_failures();
-  h.transient_faults =
-      device_->read_failures_transient() + device_->program_failures();
-  health.shards.push_back(h);
   return health;
 }
 
@@ -98,11 +57,11 @@ void Database::ResetDeviceStats() {
 }
 
 void Database::SetShardPlacementHint(uint64_t key) {
-  if (shard_router_ != nullptr) shard_router_->SetPlacementHint(key);
+  shard_router_->SetPlacementHint(key);
 }
 
 void Database::ClearShardPlacementHint() {
-  if (shard_router_ != nullptr) shard_router_->ClearPlacementHint();
+  shard_router_->ClearPlacementHint();
 }
 
 Result<region::Region*> Database::CreateRegion(
@@ -118,28 +77,19 @@ Result<region::Region*> Database::CreateRegion(
   if (options.mapper.snapshots == nullptr) {
     options.mapper.snapshots = snapshots_->horizon();
   }
-  if (shard_router_ != nullptr) {
-    // Fan out: one same-shaped region per shard, merged behind the router's
-    // ShardedSpace. Shard 0's member is the representative handle.
-    auto space = shard_router_->CreateRegion(options);
-    if (!space.ok()) return space.status();
-    for (size_t s = 0; s < shard_router_->shard_count(); s++) {
-      region::Region* rg = shard_router_->region(s, options.name);
-      if (rg != nullptr) snapshots_->RegisterMapper(&rg->mapper());
-    }
-    PersistCatalogEntry("REGION", options.name,
-                        std::to_string(options.max_chips) + " dies x " +
-                            std::to_string(shard_router_->shard_count()) +
-                            " shards");
-    return shard_router_->region(0, options.name);
+  // Fan out: one same-shaped region per shard, merged behind the router's
+  // ShardedSpace. Shard 0's member is the representative handle.
+  auto space = shard_router_->CreateRegion(options);
+  if (!space.ok()) return space.status();
+  for (size_t s = 0; s < shard_router_->shard_count(); s++) {
+    region::Region* rg = shard_router_->region(s, options.name);
+    if (rg != nullptr) snapshots_->RegisterMapper(&rg->mapper());
   }
-  auto region = region_manager_->CreateRegion(options);
-  if (!region.ok()) return region.status();
-  if (scheduler_ != nullptr) scheduler_->RegisterMapper(&(*region)->mapper());
-  snapshots_->RegisterMapper(&(*region)->mapper());
   PersistCatalogEntry("REGION", options.name,
-                      std::to_string(options.max_chips) + " dies");
-  return region;
+                      std::to_string(options.max_chips) + " dies x " +
+                          std::to_string(shard_router_->shard_count()) +
+                          " shards");
+  return shard_router_->region(0, options.name);
 }
 
 Status Database::DropRegion(const std::string& name) {
@@ -152,37 +102,20 @@ Status Database::DropRegion(const std::string& name) {
       return Status::Busy("tablespace " + ts_name + " uses region " + name);
     }
   }
-  if (shard_router_ != nullptr) {
-    // Unregister every shard's mapper before the drop destroys them; a
-    // failed drop leaves the regions alive, so put them back then.
-    std::vector<ftl::OutOfPlaceMapper*> mappers;
-    for (size_t s = 0; s < shard_router_->shard_count(); s++) {
-      region::Region* rg = shard_router_->region(s, name);
-      if (rg != nullptr) mappers.push_back(&rg->mapper());
-    }
-    for (ftl::OutOfPlaceMapper* m : mappers) snapshots_->UnregisterMapper(m);
-    Status dropped = shard_router_->DropRegion(name);
-    if (!dropped.ok()) {
-      for (ftl::OutOfPlaceMapper* m : mappers) snapshots_->RegisterMapper(m);
-    }
-    return dropped;
+  // Unregister every shard's mapper before the drop destroys them; a failed
+  // drop leaves the regions alive, so put them back then. (The router does
+  // the same for its schedulers.)
+  std::vector<ftl::OutOfPlaceMapper*> mappers;
+  for (size_t s = 0; s < shard_router_->shard_count(); s++) {
+    region::Region* rg = shard_router_->region(s, name);
+    if (rg != nullptr) mappers.push_back(&rg->mapper());
   }
-  {
-    // Same unregister-then-drop dance for the snapshot manager (and the
-    // scheduler, when enabled): a failed drop leaves the region alive, so
-    // put it back on the schedule then.
-    region::Region* rg = region_manager_->Get(name);
-    if (rg != nullptr) {
-      snapshots_->UnregisterMapper(&rg->mapper());
-      if (scheduler_ != nullptr) scheduler_->UnregisterMapper(&rg->mapper());
-    }
-    Status dropped = region_manager_->DropRegion(name);
-    if (!dropped.ok() && rg != nullptr) {
-      snapshots_->RegisterMapper(&rg->mapper());
-      if (scheduler_ != nullptr) scheduler_->RegisterMapper(&rg->mapper());
-    }
-    return dropped;
+  for (ftl::OutOfPlaceMapper* m : mappers) snapshots_->UnregisterMapper(m);
+  Status dropped = shard_router_->DropRegion(name);
+  if (!dropped.ok()) {
+    for (ftl::OutOfPlaceMapper* m : mappers) snapshots_->RegisterMapper(m);
   }
+  return dropped;
 }
 
 Result<storage::Tablespace*> Database::CreateTablespace(
@@ -199,27 +132,14 @@ Result<storage::Tablespace*> Database::CreateTablespace(
       return Status::InvalidArgument(
           "tablespace needs REGION=... under native flash");
     }
-    if (shard_router_ != nullptr) {
-      provider = shard_router_->space(region_name);
-      if (provider == nullptr) {
-        return Status::NotFound("sharded region " + region_name);
-      }
-    } else {
-      region::Region* region = region_manager_->Get(region_name);
-      if (region == nullptr) return Status::NotFound("region " + region_name);
-      auto space = std::make_unique<storage::RegionSpace>(region);
-      provider = space.get();
-      region_spaces_[name] = std::move(space);
-    }
+    provider = shard_router_->space(region_name);
+    if (provider == nullptr) return Status::NotFound("region " + region_name);
     ts_region_[name] = region_name;
   } else {
     if (!region_name.empty()) {
       return Status::NotSupported("REGION= is unavailable under FTL backend");
     }
-    provider = shard_router_ != nullptr
-                   ? static_cast<storage::SpaceProvider*>(
-                         shard_router_->ftl_space())
-                   : ftl_space_.get();
+    provider = shard_router_->ftl_space();
   }
 
   storage::TablespaceOptions ts_options;
@@ -258,7 +178,6 @@ Status Database::DropTablespace(const std::string& name) {
   buffer_->DiscardTablespace(ts->tablespace_id());
   NOFTL_RETURN_IF_ERROR(ts->ReleaseExtents());
   ts_region_.erase(name);
-  region_spaces_.erase(name);
   tablespaces_.erase(it);
   return Status::OK();
 }
@@ -388,17 +307,11 @@ Status Database::ApplyStatement(const sql::DdlStatement& stmt) {
       return Status::NotSupported("no regions under FTL backend");
     }
     if (s->add_chips > 0) {
-      const auto count = static_cast<uint32_t>(s->add_chips);
-      if (shard_router_ != nullptr) {
-        return shard_router_->GrowRegion(s->name, count, ddl_ctx_.now);
-      }
-      return region_manager_->GrowRegion(s->name, count, ddl_ctx_.now);
+      return shard_router_->GrowRegion(
+          s->name, static_cast<uint32_t>(s->add_chips), ddl_ctx_.now);
     }
-    const auto count = static_cast<uint32_t>(s->remove_chips);
-    if (shard_router_ != nullptr) {
-      return shard_router_->ShrinkRegion(s->name, count, ddl_ctx_.now);
-    }
-    return region_manager_->ShrinkRegion(s->name, count, ddl_ctx_.now);
+    return shard_router_->ShrinkRegion(
+        s->name, static_cast<uint32_t>(s->remove_chips), ddl_ctx_.now);
   }
   if (const auto* s = std::get_if<sql::DropStmt>(&stmt)) {
     switch (s->kind) {
@@ -465,36 +378,14 @@ Status Database::Checkpoint(txn::TxnContext* ctx) {
   // With every dirty page on flash, persist the translation state too: a
   // crash after this point recovers each mapper from its checkpoint with a
   // per-die delta scan instead of a full OOB scan. Regions occupy disjoint
-  // die sets, so every checkpoint is issued at the same instant and the
-  // caller waits only for the slowest one, not their sum. No-ops when
-  // mapper checkpointing (MapperOptions::checkpoint_slots) is disabled.
-  // Mapper checkpoints are best-effort, like the periodic trigger: a
-  // failed write (worn slot blocks, image outgrew its slot) leaves the
-  // older epochs — and ultimately the full OOB scan — as the recovery
-  // path, so it must not turn a successful flush into a failed checkpoint.
-  const SimTime issue = ctx->now;
-  SimTime latest = issue;
-  if (shard_router_ != nullptr) {
-    // Shards are independent devices: every shard's mappers checkpoint at
-    // the same instant and the caller waits for the slowest shard only.
-    // (The router quiesces its schedulers for the fan-out.)
-    NOFTL_RETURN_IF_ERROR(shard_router_->Checkpoint(issue, &latest));
-    ctx->AdvanceTo(latest);
-    return Status::OK();
-  }
-  // The checkpoint must capture a mapping the background scheduler is not
-  // mutating: block new grants and wait out an in-flight tick.
-  if (scheduler_ != nullptr) scheduler_->Quiesce();
-  if (region_manager_ != nullptr) {
-    for (auto* rg : region_manager_->regions()) {
-      ftl::CheckpointBestEffort(rg->mapper(), rg->name().c_str(), issue,
-                                &latest);
-    }
-  }
-  if (ftl_ != nullptr) {
-    ftl::CheckpointBestEffort(ftl_->mapper(), "ftl", issue, &latest);
-  }
-  if (scheduler_ != nullptr) scheduler_->Resume();
+  // die sets and shards are independent devices, so every mapper
+  // checkpoints at the same instant and the caller waits only for the
+  // slowest one, not their sum. The router quiesces its schedulers for the
+  // fan-out and treats each mapper checkpoint as best-effort (older epochs
+  // and ultimately the full OOB scan stay the recovery path), so a failed
+  // checkpoint write never turns a successful flush into a failure.
+  SimTime latest = ctx->now;
+  NOFTL_RETURN_IF_ERROR(shard_router_->Checkpoint(ctx->now, &latest));
   ctx->AdvanceTo(latest);
   return Status::OK();
 }
@@ -517,29 +408,15 @@ void Database::ReleaseSnapshot(uint64_t snapshot) {
 }
 
 uint64_t Database::TickSchedulers(SimTime now) {
-  if (shard_router_ != nullptr) return shard_router_->TickSchedulers(now);
-  return scheduler_ != nullptr ? scheduler_->Tick(now) : 0;
+  return shard_router_->TickSchedulers(now);
 }
 
-void Database::StartSchedulers() {
-  if (shard_router_ != nullptr) {
-    shard_router_->StartSchedulers();
-    return;
-  }
-  if (scheduler_ != nullptr) scheduler_->Start();
-}
+void Database::StartSchedulers() { shard_router_->StartSchedulers(); }
 
-void Database::StopSchedulers() {
-  if (shard_router_ != nullptr) {
-    shard_router_->StopSchedulers();
-    return;
-  }
-  if (scheduler_ != nullptr) scheduler_->Stop();
-}
+void Database::StopSchedulers() { shard_router_->StopSchedulers(); }
 
 sched::SchedulerStats Database::SchedulerStatsTotal() const {
-  if (shard_router_ != nullptr) return shard_router_->SchedulerStatsTotal();
-  return scheduler_ != nullptr ? scheduler_->stats() : sched::SchedulerStats{};
+  return shard_router_->SchedulerStatsTotal();
 }
 
 }  // namespace noftl::db

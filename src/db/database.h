@@ -1,6 +1,8 @@
-// Database facade: wires flash device <- (NoFTL regions | FTL block device)
-// <- tablespaces <- buffer pool <- heap files / B+-trees, with a catalog and
-// the paper's DDL on top.
+// Database facade: wires a shard router (one flash device stack per shard,
+// each NoFTL regions | FTL block device) <- tablespaces <- buffer pool <-
+// heap files / B+-trees, with a catalog and the paper's DDL on top. There is
+// one storage stack: the default is one shard, whose sharded spaces pass
+// every batch through to the device stack untouched.
 //
 // Two backends, matching the two architectures the paper compares:
 //   * Backend::kNoFtl — regions are first-class; tablespaces bind to regions
@@ -52,11 +54,10 @@ struct DatabaseOptions {
   ftl::MapperOptions default_mapper;
   /// EXTENT SIZE default when DDL omits it (pages).
   uint32_t default_extent_pages = 32;
-  /// Multi-device scale-out: shard_count >= 2 opens one full device stack
-  /// per shard (geometry is PER SHARD) behind a shard router; regions fan
-  /// out across every shard and tablespaces stripe/partition their extents
-  /// by `sharding.placement`. shard_count == 1 is the single-device path,
-  /// untouched.
+  /// Device stacks behind the shard router: one full device stack per shard
+  /// (geometry is PER SHARD); regions fan out across every shard and
+  /// tablespaces stripe/partition their extents by `sharding.placement`.
+  /// The default, one shard, is the single-device stack (0 is rejected).
   shard::ShardOptions sharding;
   /// When true, every DDL statement also appends a record to an internal
   /// catalog heap ("DBMS-metadata" in the paper's Figure 2), once a
@@ -69,10 +70,10 @@ struct DatabaseOptions {
   sched::SchedulerOptions scheduler;
 };
 
-/// Aggregate health of the stack's devices, as of the last UpdateHealth().
-/// Sharded stacks report per-shard; the single-device stack reports one
-/// pseudo-shard (shard 0) and never degrades (there is no healthy shard
-/// left to serve from, so the budget applies only when sharded).
+/// Aggregate health of the stack's devices, as of the last UpdateHealth(),
+/// one entry per shard. The router's hard-fault budget applies at every
+/// shard count: a 1-shard database with a budget goes read-only once its
+/// device exceeds it (budget 0, the default, never degrades).
 struct DatabaseHealth {
   bool any_degraded = false;
   std::vector<shard::ShardHealthStatus> shards;
@@ -92,24 +93,18 @@ class Database {
   ~Database();
 
   const DatabaseOptions& options() const { return options_; }
-  /// Shard 0's device when sharded (single-device callers keep working; use
-  /// shards() / ForEachDevice for the whole fleet).
-  flash::FlashDevice* device() {
-    return shard_router_ != nullptr ? shard_router_->device(0) : device_.get();
-  }
-  region::RegionManager* regions() { return region_manager_.get(); }
-  ftl::PageMappingFtl* ftl() {
-    return shard_router_ != nullptr ? shard_router_->ftl(0) : ftl_.get();
-  }
+  /// Shard 0's device, region manager (null under kFtl) and FTL (null
+  /// under kNoFtl): the whole stack with one shard; use shards() /
+  /// ForEachDevice for the whole fleet.
+  flash::FlashDevice* device() { return shard_router_->device(0); }
+  region::RegionManager* regions() { return shard_router_->regions(0); }
+  ftl::PageMappingFtl* ftl() { return shard_router_->ftl(0); }
   buffer::BufferPool* buffer() { return buffer_.get(); }
 
-  /// The shard router (null when shard_count == 1).
+  /// The shard router (never null).
   shard::ShardRouter* shards() { return shard_router_.get(); }
-  bool sharded() const { return shard_router_ != nullptr; }
   uint32_t shard_count() const {
-    return shard_router_ != nullptr
-               ? static_cast<uint32_t>(shard_router_->shard_count())
-               : 1;
+    return static_cast<uint32_t>(shard_router_->shard_count());
   }
 
   /// Re-read fault counters on every device, apply the shard router's
@@ -118,22 +113,24 @@ class Database {
   /// sticky until the database is reopened.
   DatabaseHealth UpdateHealth();
 
-  /// Visit every device of the stack (one, or one per shard).
+  /// Visit every device of the stack (one per shard).
   void ForEachDevice(const std::function<void(flash::FlashDevice*)>& fn);
   /// Reset operation stats on every device.
   void ResetDeviceStats();
 
   /// Override the placement key for subsequent extent allocations under
   /// ShardPlacement::kByKey (e.g. the TPC-C loader/driver pinning a
-  /// warehouse to one shard). No-op when unsharded.
+  /// warehouse to one shard). With one shard every key maps to shard 0.
   void SetShardPlacementHint(uint64_t key);
   void ClearShardPlacementHint();
 
   // --- Background schedulers (options.scheduler.enabled) ---
 
-  /// The single-device stack's scheduler (null when disabled or sharded —
-  /// the shard router owns one per shard then; see shards()->scheduler(s)).
-  sched::BackgroundScheduler* scheduler() { return scheduler_.get(); }
+  /// Shard 0's scheduler (null when disabled; the router owns one per
+  /// shard, see shards()->scheduler(s)).
+  sched::BackgroundScheduler* scheduler() {
+    return shard_router_->scheduler(0);
+  }
   /// Deterministic synchronous mode: run one scheduling pass on every
   /// scheduler of the stack at sim time `now` (the driver calls this
   /// between transactions). Returns background pages moved; 0 — and no
@@ -226,18 +223,10 @@ class Database {
   /// watch its VersionHorizon through MapperOptions::snapshots, so it must
   /// be destroyed after every mapper (reverse declaration order).
   std::unique_ptr<mvcc::SnapshotManager> snapshots_;
-  std::unique_ptr<flash::FlashDevice> device_;
-  std::unique_ptr<region::RegionManager> region_manager_;
-  std::unique_ptr<ftl::PageMappingFtl> ftl_;
-  std::unique_ptr<storage::FtlSpace> ftl_space_;
   std::unique_ptr<shard::ShardRouter> shard_router_;
-  /// Single-device stack's scheduler; declared after the stack members so it
-  /// is destroyed (service thread joined, reclaimer flag cleared) first.
-  std::unique_ptr<sched::BackgroundScheduler> scheduler_;
   std::unique_ptr<buffer::BufferPool> buffer_;
 
   // Catalog. Values are owned here; names are unique per kind.
-  std::map<std::string, std::unique_ptr<storage::RegionSpace>> region_spaces_;
   std::map<std::string, std::string> ts_region_;  ///< tablespace -> region
   std::map<std::string, std::unique_ptr<storage::Tablespace>> tablespaces_;
   std::map<std::string, std::unique_ptr<storage::HeapFile>> tables_;

@@ -203,15 +203,6 @@ Ticket FlashDevice::SubmitRead(const PageReadOp& op, SimTime issue,
   return Enqueue(r, op.addr.die, origin);
 }
 
-Ticket FlashDevice::SubmitProgram(const PageProgramOp& op, SimTime issue,
-                                  OpOrigin origin) {
-  NOFTL_ASSERT_NO_UPPER_LATCHES();
-  MutexLock lock(mu_);
-  const OpResult r =
-      ProgramPageLocked(op.addr, issue, origin, op.data, op.meta);
-  return Enqueue(r, op.addr.die, origin);
-}
-
 Ticket FlashDevice::Enqueue(const OpResult& result, DieId die,
                             OpOrigin origin) {
   const Ticket t = next_ticket_++;

@@ -195,7 +195,7 @@ class FlashDevice {
 
   // --- Queued (submit/reap) surface -----------------------------------
   //
-  // NVMe-style event-driven I/O: Submit* enqueues an operation and returns a
+  // NVMe-style event-driven I/O: SubmitRead enqueues a read and returns a
   // ticket immediately — the caller's clock does not advance. The op is
   // booked at submission exactly as the synchronous calls would book it:
   // at the earliest free time of its die (and channel) at or after its
@@ -213,9 +213,6 @@ class FlashDevice {
   /// OOB buffers of `op` are filled by the array read at its queue position;
   /// the caller must keep them alive until the ticket is reaped.
   Ticket SubmitRead(const PageReadOp& op, SimTime issue, OpOrigin origin);
-
-  /// Enqueue one page program (scheduling contract of ProgramPages).
-  Ticket SubmitProgram(const PageProgramOp& op, SimTime issue, OpOrigin origin);
 
   /// Reap one ticket regardless of the current caller time — the caller
   /// commits to waiting until the op's completion (result.complete says when

@@ -95,6 +95,22 @@ struct SchedulerStats {
   /// Background victim erases pushed to a later tick by erase pacing
   /// (options.erase_pace_window_us; the pages were already relocated).
   RelaxedCounter bg_erase_deferred = 0;
+
+  /// Field-wise sum (totals over several schedulers). Every counter above
+  /// is summed here, so a new one needs one line in this function only.
+  SchedulerStats& operator+=(const SchedulerStats& o) {
+    ticks += o.ticks;
+    bg_gc_pages += o.bg_gc_pages;
+    bg_gc_erases += o.bg_gc_erases;
+    bg_scrub_blocks += o.bg_scrub_blocks;
+    bg_wl_pages += o.bg_wl_pages;
+    bg_checkpoints += o.bg_checkpoints;
+    idle_grants += o.idle_grants;
+    busy_skips += o.busy_skips;
+    preemptions += o.preemptions;
+    bg_erase_deferred += o.bg_erase_deferred;
+    return *this;
+  }
 };
 
 /// One scheduler per shard stack (one FlashDevice and the mappers over it).

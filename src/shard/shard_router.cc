@@ -243,18 +243,7 @@ void ShardRouter::StopSchedulers() {
 
 sched::SchedulerStats ShardRouter::SchedulerStatsTotal() const {
   sched::SchedulerStats total;
-  for (const auto& s : schedulers_) {
-    const sched::SchedulerStats& st = s->stats();
-    total.ticks += st.ticks;
-    total.bg_gc_pages += st.bg_gc_pages;
-    total.bg_gc_erases += st.bg_gc_erases;
-    total.bg_scrub_blocks += st.bg_scrub_blocks;
-    total.bg_wl_pages += st.bg_wl_pages;
-    total.bg_checkpoints += st.bg_checkpoints;
-    total.idle_grants += st.idle_grants;
-    total.busy_skips += st.busy_skips;
-    total.preemptions += st.preemptions;
-  }
+  for (const auto& s : schedulers_) total += s->stats();
   return total;
 }
 

@@ -2,11 +2,13 @@
 // plus a RegionManager or PageMappingFtl stack) and hands out ShardedSpace
 // providers that stripe the logical space across them.
 //
-// The router is the multi-device counterpart of what Database::Open builds
-// for one device: under the native (NoFTL) backend every shard runs its own
-// RegionManager and CreateRegion fans out one same-named region per shard,
-// merged behind a ShardedSpace; under the FTL backend every shard runs its
-// own PageMappingFtl and one ShardedSpace spans the per-shard LBA spaces.
+// Every Database opens one router, with one shard or more: under the native
+// (NoFTL) backend every shard runs its own RegionManager and CreateRegion
+// fans out one same-named region per shard, merged behind a ShardedSpace;
+// under the FTL backend every shard runs its own PageMappingFtl and one
+// ShardedSpace spans the per-shard LBA spaces. With one shard every batch
+// passes through the ShardedSpace untouched, so a 1-shard router is the
+// single-device stack operation for operation.
 // Checkpointing fans out to every shard's mappers at one issue time (shards
 // are independent devices, so the caller waits for the slowest shard, not
 // the sum), and recovery opens each shard independently with the per-device
@@ -38,8 +40,8 @@ enum class ShardBackend : uint8_t {
 
 /// Sharding knobs carried by DatabaseOptions.
 struct ShardOptions {
-  /// Number of independent device stacks; 1 = no sharding (the single-device
-  /// code path, untouched).
+  /// Number of independent device stacks (>= 1). One shard is the
+  /// single-device stack: its ShardedSpaces pass every batch through.
   uint32_t shard_count = 1;
   ShardPlacement placement = ShardPlacement::kStripe;
   /// Hard device faults (unreadable pages + failed erases) a shard may

@@ -105,17 +105,12 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
   }
   *ticket = 0;
 
-  // One read of the degraded flags serves the whole submission: the router
-  // may degrade a shard concurrently, and the atomic-batch check and the
-  // scatter must agree on which writes are blocked.
-  std::vector<uint8_t> degraded(shards_.size());
-  for (size_t s = 0; s < shards_.size(); s++) degraded[s] = degraded_[s];
-
-  // Classify the batch: which shards does it touch?
+  // Classify the batch: which shards does it touch, and does it mutate?
   bool all_shard0 = true;
   size_t first_shard = 0;
   bool cross_shard = false;
   bool have_any = false;
+  bool mutates = false;
   for (const IoRequest& r : batch->requests()) {
     const size_t s = ShardOf(r.lpn);
     if (s >= shards_.size()) {
@@ -129,6 +124,7 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
       cross_shard = true;
     }
     if (s != 0) all_shard0 = false;
+    if (r.op != storage::IoOp::kRead) mutates = true;
   }
 
   if (batch->atomic() && cross_shard) {
@@ -144,34 +140,16 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
     return s;
   }
 
-  // Graceful degradation: a shard past its hard-fault budget still serves
-  // reads (data stays salvageable) but refuses mutations. Blocked requests
-  // fail in place with Status::ReadOnly (slots filled below, at scatter) and
-  // the rest of the batch proceeds. An atomic batch is all-or-nothing, so
-  // one blocked write rejects the whole submission.
-  bool any_blocked = false;
-  for (const IoRequest& r : batch->requests()) {
-    if (r.op != storage::IoOp::kRead && degraded[ShardOf(r.lpn)]) {
-      any_blocked = true;
-      break;
-    }
-  }
-  if (any_blocked && batch->atomic()) {
-    stats_.degraded_rejected_writes += batch->size();
-    const Status s =
-        Status::ReadOnly("atomic batch targets a degraded read-only shard");
-    batch->FailAll(s);
-    return s;
-  }
-
   Merged merged;
   merged.issue = issue;
   merged.parent = batch;
 
-  if (all_shard0 && !any_blocked) {
+  if (all_shard0 && !(mutates && degraded_[0])) {
     // Passthrough: shard-0 local lpns equal the encoded lpns, so the
     // caller's batch goes down untouched — a 1-shard ShardedSpace is
-    // operation-for-operation the unsharded stack.
+    // operation-for-operation the unsharded stack. Nothing here allocates
+    // but the pending entry; the one read of shard 0's degraded flag
+    // serves the whole submission.
     merged.passthrough = true;
     Status s =
         shards_[0]->SubmitBatch(batch, issue, &merged.passthrough_ticket);
@@ -182,6 +160,29 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
     MutexLock lock(mu_);
     pending_.emplace(*ticket, std::move(merged));
     return Status::OK();
+  }
+
+  // One read of the degraded flags serves the rest of the submission: the
+  // router may degrade a shard concurrently, and the atomic-batch check and
+  // the scatter must agree on which writes are blocked.
+  std::vector<uint8_t> degraded(shards_.size());
+  for (size_t s = 0; s < shards_.size(); s++) degraded[s] = degraded_[s];
+
+  // Graceful degradation: a shard past its hard-fault budget still serves
+  // reads (data stays salvageable) but refuses mutations. Blocked requests
+  // fail in place with Status::ReadOnly (slots filled below, at scatter) and
+  // the rest of the batch proceeds. An atomic batch is all-or-nothing, so
+  // one blocked write rejects the whole submission.
+  if (batch->atomic()) {
+    for (const IoRequest& r : batch->requests()) {
+      if (r.op != storage::IoOp::kRead && degraded[ShardOf(r.lpn)]) {
+        stats_.degraded_rejected_writes += batch->size();
+        const Status s =
+            Status::ReadOnly("atomic batch targets a degraded read-only shard");
+        batch->FailAll(s);
+        return s;
+      }
+    }
   }
 
   // Scatter: mirror each request into its shard's sub-batch (same relative

@@ -422,19 +422,23 @@ Result<DriverReport> TpccDriver::Run() {
     // digest-invisible) when the scheduler is disabled. Runs after the
     // step's GC-overlap sample so background relocations are not
     // attributed to the transaction — and only when this transaction's end
-    // time precedes every pending terminal event: die-time queues serve in
-    // call order, so ticking while an earlier-clocked transaction is still
-    // unexecuted would insert background work ahead of it.
+    // time precedes every pending terminal event: a background op booked at
+    // `now` occupies die time that an earlier-clocked transaction, not yet
+    // run, would otherwise backfill.
     if (queue.empty() || t.ctx.now <= queue.top().first) {
       db_->database()->TickSchedulers(t.ctx.now);
     }
 
     if (options_.global_wl_interval != 0 &&
-        total % options_.global_wl_interval == 0 &&
-        db_->database()->regions() != nullptr) {
-      bool swapped = false;
-      Status wl = db_->database()->regions()->RebalanceWear(t.ctx.now, &swapped);
-      if (!wl.ok()) return wl;
+        total % options_.global_wl_interval == 0) {
+      // Every shard levels wear across its own dies.
+      shard::ShardRouter* router = db_->database()->shards();
+      for (size_t s = 0; s < router->shard_count(); s++) {
+        region::RegionManager* rm = router->regions(s);
+        if (rm == nullptr) continue;
+        bool swapped = false;
+        NOFTL_RETURN_IF_ERROR(rm->RebalanceWear(t.ctx.now, &swapped));
+      }
     }
   }
 

@@ -28,6 +28,73 @@ TEST(DatabaseTest, OpenValidatesGeometry) {
   EXPECT_FALSE(Database::Open(o).ok());
 }
 
+TEST(DatabaseTest, OpenRejectsZeroShards) {
+  DatabaseOptions o = SmallOptions();
+  o.sharding.shard_count = 0;
+  EXPECT_TRUE(Database::Open(o).status().IsInvalidArgument());
+}
+
+// Every database runs on a shard router; the default is one shard, and the
+// single-device accessors are shard 0's stack.
+TEST(DatabaseTest, DefaultOptionsOpenOneShardRouter) {
+  for (const Backend backend : {Backend::kNoFtl, Backend::kFtl}) {
+    SCOPED_TRACE(backend == Backend::kNoFtl ? "noftl" : "ftl");
+    DatabaseOptions o = SmallOptions(backend);
+    o.scheduler.enabled = true;
+    auto db = Database::Open(o);
+    ASSERT_TRUE(db.ok());
+    shard::ShardRouter* router = (*db)->shards();
+    ASSERT_NE(router, nullptr);
+    EXPECT_EQ((*db)->shard_count(), 1u);
+    EXPECT_EQ(router->shard_count(), 1u);
+    EXPECT_EQ((*db)->device(), router->device(0));
+    EXPECT_EQ((*db)->regions(), router->regions(0));
+    EXPECT_EQ((*db)->ftl(), router->ftl(0));
+    ASSERT_NE((*db)->scheduler(), nullptr);
+    EXPECT_EQ((*db)->scheduler(), router->scheduler(0));
+    size_t devices = 0;
+    (*db)->ForEachDevice([&](flash::FlashDevice*) { devices++; });
+    EXPECT_EQ(devices, 1u);
+
+    std::string region;
+    if (backend == Backend::kNoFtl) {
+      ASSERT_NE((*db)->regions(), nullptr);
+      ASSERT_TRUE((*db)->ExecuteDdl("CREATE REGION r (MAX_CHIPS=4);").ok());
+      region = "r";
+    } else {
+      EXPECT_EQ((*db)->regions(), nullptr);
+      ASSERT_NE((*db)->ftl(), nullptr);
+    }
+    ASSERT_TRUE((*db)->CreateTablespace("ts", region, 8).ok());
+    auto table = (*db)->CreateTable("T", "ts");
+    ASSERT_TRUE(table.ok());
+    txn::TxnContext ctx;
+    std::vector<storage::RecordId> rids;
+    for (int i = 0; i < 100; i++) {
+      auto rid = (*table)->Insert(&ctx, "row-" + std::to_string(i));
+      ASSERT_TRUE(rid.ok());
+      rids.push_back(*rid);
+    }
+    ASSERT_TRUE((*db)->Checkpoint(&ctx).ok());
+    ASSERT_TRUE((*table)->Update(&ctx, rids[7], "upd-7").ok());
+    for (int i = 0; i < 100; i++) {
+      auto row = (*table)->Read(&ctx, rids[i]);
+      ASSERT_TRUE(row.ok());
+      EXPECT_EQ(*row, i == 7 ? "upd-7" : "row-" + std::to_string(i));
+    }
+    ASSERT_TRUE((*db)->Checkpoint(&ctx).ok());
+    EXPECT_GT(ctx.now, 0u);
+    // The checkpoint flushed the pool: every row reached the flash stack.
+    EXPECT_GT((*db)->device()->stats().host_writes(), 0u);
+    EXPECT_TRUE((*db)->buffer()->VerifyIntegrity().ok());
+    ASSERT_TRUE((*db)->DropTable("T").ok());
+    ASSERT_TRUE((*db)->DropTablespace("ts").ok());
+    if (backend == Backend::kNoFtl) {
+      ASSERT_TRUE((*db)->DropRegion("r").ok());
+    }
+  }
+}
+
 TEST(DatabaseTest, PaperDdlScriptEndToEnd) {
   auto db = Database::Open(SmallOptions());
   ASSERT_TRUE(db.ok());

@@ -370,7 +370,7 @@ TEST(BackgroundSchedulerTest, ShardedDatabaseTicksEveryShard) {
   o.sharding.shard_count = 2;
   auto db = db::Database::Open(o);
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE((*db)->sharded());
+  ASSERT_EQ((*db)->shard_count(), 2u);
   ASSERT_NE((*db)->shards()->scheduler(0), nullptr);
   ASSERT_NE((*db)->shards()->scheduler(1), nullptr);
   ASSERT_TRUE((*db)
@@ -393,6 +393,65 @@ TEST(BackgroundSchedulerTest, ShardedDatabaseTicksEveryShard) {
   ASSERT_TRUE((*db)->DropTablespace("tsS").ok());
   ASSERT_TRUE((*db)->DropRegion("rgS").ok());
   (*db)->TickSchedulers(ctx.now + 1000);
+}
+
+// The database's scheduler totals are the field-wise sum over the shards'
+// schedulers — erase pacing's deferred count included.
+TEST(BackgroundSchedulerTest, ShardedTotalsSumEveryCounter) {
+  db::DatabaseOptions o = SmallDbOptions();
+  o.sharding.shard_count = 2;
+  o.scheduler.gc_free_target = 30;
+  // One background erase costs far more sim time than the run earns, so
+  // every fully relocated victim is deferred.
+  o.scheduler.erase_pace_window_us = 1'000'000'000;
+  auto db = db::Database::Open(o);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->ExecuteDdl("CREATE REGION rgP (MAX_CHIPS=4);").ok());
+  shard::ShardedSpace* space = (*db)->shards()->space("rgP");
+  ASSERT_NE(space, nullptr);
+
+  // A GC backlog on both shards: striped extents, each page overwritten
+  // three times, so whole blocks of superseded copies wait for GC.
+  std::vector<uint64_t> extents;
+  for (int e = 0; e < 2; e++) {
+    auto base = space->AllocateExtent(64);
+    ASSERT_TRUE(base.ok());
+    extents.push_back(*base);
+  }
+  std::vector<char> page(512, 'g');
+  SimTime now = 0;
+  for (int round = 0; round < 3; round++) {
+    for (const uint64_t base : extents) {
+      for (uint64_t p = 0; p < 64; p++) {
+        SimTime done = now;
+        ASSERT_TRUE(
+            space->WritePage(base + p, now, page.data(), 1, &done).ok());
+        now = std::max(now, done);
+      }
+    }
+  }
+  (*db)->TickSchedulers(now + 1000);
+
+  for (size_t s = 0; s < (*db)->shard_count(); s++) {
+    EXPECT_GT((*db)->shards()->scheduler(s)->stats().bg_erase_deferred, 0u)
+        << "shard " << s;
+  }
+  // Summed here field by field, independently of SchedulerStats::operator+=.
+  const SchedulerStats total = (*db)->SchedulerStatsTotal();
+  for (RelaxedCounter SchedulerStats::*field :
+       {&SchedulerStats::ticks, &SchedulerStats::bg_gc_pages,
+        &SchedulerStats::bg_gc_erases, &SchedulerStats::bg_scrub_blocks,
+        &SchedulerStats::bg_wl_pages, &SchedulerStats::bg_checkpoints,
+        &SchedulerStats::idle_grants, &SchedulerStats::busy_skips,
+        &SchedulerStats::preemptions, &SchedulerStats::bg_erase_deferred}) {
+    uint64_t sum = 0;
+    for (size_t s = 0; s < (*db)->shard_count(); s++) {
+      sum += (*db)->shards()->scheduler(s)->stats().*field;
+    }
+    EXPECT_EQ(static_cast<uint64_t>(total.*field), sum);
+  }
+  EXPECT_GT(total.bg_erase_deferred, 0u);
+  EXPECT_EQ(total.ticks, 2u);
 }
 
 // Service-thread mode under real concurrency (the TSan "stress" target):

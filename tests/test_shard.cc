@@ -865,15 +865,53 @@ TEST(ShardFaultTest, DatabaseSurfacesFleetHealth) {
     EXPECT_EQ(h.hard_faults, 0u);
     EXPECT_FALSE(h.degraded);
   }
-  // The unsharded stack reports one pseudo-shard and never degrades.
-  db::DatabaseOptions uo;
-  uo.geometry = SmallGeo();
-  uo.buffer.frame_count = 64;
-  auto udb = db::Database::Open(uo);
-  ASSERT_TRUE(udb.ok());
-  db::DatabaseHealth uhealth = (*udb)->UpdateHealth();
-  ASSERT_EQ(uhealth.shards.size(), 1u);
-  EXPECT_FALSE(uhealth.any_degraded);
+
+  // One shard (the default) applies the same budget: three hard faults over
+  // a budget of two turn the database read-only; budget 0 never degrades.
+  for (const uint64_t budget : {uint64_t{2}, uint64_t{0}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    db::DatabaseOptions uo;
+    uo.geometry = SmallGeo();
+    uo.sharding.hard_fault_budget = budget;
+    uo.buffer.frame_count = 64;
+    auto udb = db::Database::Open(uo);
+    ASSERT_TRUE(udb.ok());
+    ASSERT_EQ((*udb)->shard_count(), 1u);
+    ASSERT_TRUE((*udb)->ExecuteDdl("CREATE REGION r (MAX_CHIPS=4);").ok());
+    db::DatabaseHealth uhealth = (*udb)->UpdateHealth();
+    ASSERT_EQ(uhealth.shards.size(), 1u);
+    EXPECT_FALSE(uhealth.any_degraded);
+
+    ShardedSpace* space = (*udb)->shards()->space("r");
+    ASSERT_NE(space, nullptr);
+    auto base = space->AllocateExtent(16);
+    ASSERT_TRUE(base.ok());
+    std::vector<char> w = PagePattern(71);
+    for (int i = 0; i < 8; i++) {
+      ASSERT_TRUE(space->WritePage(*base + i, 0, w.data(), 1, nullptr).ok());
+    }
+    region::Region* rg = (*udb)->regions()->Get("r");
+    for (int i = 0; i < 3; i++) {
+      auto addr = rg->mapper().Lookup(*base + i);
+      ASSERT_TRUE(addr.ok());
+      (*udb)->device()->DebugMarkPageUnreadable(*addr);
+      std::vector<char> buf(kPageSize);
+      EXPECT_TRUE(space->ReadPage(*base + i, 0, buf.data(), nullptr)
+                      .IsDataLoss());
+    }
+    uhealth = (*udb)->UpdateHealth();
+    ASSERT_EQ(uhealth.shards.size(), 1u);
+    EXPECT_GE(uhealth.shards[0].hard_faults, 3u);
+    const bool degrade = budget != 0;
+    EXPECT_EQ(uhealth.any_degraded, degrade);
+    EXPECT_EQ(uhealth.shards[0].degraded, degrade);
+    // Read-only once degraded: writes fail, intact pages stay readable.
+    const Status write = space->WritePage(*base + 7, 0, w.data(), 1, nullptr);
+    EXPECT_EQ(write.IsReadOnly(), degrade) << write.ToString();
+    std::vector<char> buf(kPageSize);
+    EXPECT_TRUE(space->ReadPage(*base + 6, 0, buf.data(), nullptr).ok());
+    EXPECT_EQ(0, memcmp(buf.data(), w.data(), kPageSize));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -896,7 +934,6 @@ TEST(ShardedDatabaseTest, NativeBackendFansRegionsOutAndServesDml) {
   auto db = db::Database::Open(
       ShardedDbOptions(db::Backend::kNoFtl, 2, ShardPlacement::kStripe));
   ASSERT_TRUE(db.ok());
-  EXPECT_TRUE((*db)->sharded());
   EXPECT_EQ((*db)->shard_count(), 2u);
   ASSERT_TRUE((*db)->ExecuteScript(
       "CREATE REGION r (MAX_CHIPS=4);"

@@ -759,7 +759,7 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
       }
       case IoOp::kWrite: {
         // Same state path a single WritePage takes (die choice, bad-block
-        // retry, GC quantum, checkpoint trigger), issued at the batch time:
+        // retry, GC step, checkpoint trigger), issued at the batch time:
         // the device has accepted the program, only the completion delivery
         // waits for the reap.
         SimTime page_done = issue;
@@ -994,9 +994,10 @@ Status OutOfPlaceMapper::WriteLocked(uint64_t lpn, SimTime issue,
   if (complete != nullptr) *complete = done;
   if (origin == OpOrigin::kHost) stats_.host_writes++;
 
-  // Background GC quantum after the host program: it extends the die's busy
-  // horizon (later host I/O queues behind it) without stalling this write.
-  NOFTL_RETURN_IF_ERROR(GcStep(slot.die, done, options_.gc_quantum_pages));
+  // Foreground GC step after the host program, paced by the die's victim:
+  // it extends the die's busy horizon (later host I/O queues behind it)
+  // without stalling this write.
+  NOFTL_RETURN_IF_ERROR(GcStep(slot.die, done));
   MaybeAutoCheckpoint(1, done);
   return Status::OK();
 }
@@ -1070,7 +1071,7 @@ Status OutOfPlaceMapper::WriteAtomicBatch(const std::vector<BatchPage>& pages,
   // Phase 2: commit — switch all mappings at once (in-memory, instant),
   // then release the pins (the pages are visible and count as valid now).
   // Advancing the watermark first makes every later program (including the
-  // GC quanta below) carry durable commit evidence for this batch.
+  // GC steps below) carry durable commit evidence for this batch.
   committed_batches_ = std::max(committed_batches_, batch_id);
   // One commit sequence covers the whole batch: a snapshot drawn
   // concurrently lands either entirely before it (sees every old version)
@@ -1087,8 +1088,7 @@ Status OutOfPlaceMapper::WriteAtomicBatch(const std::vector<BatchPage>& pages,
   }
   for (size_t i = 0; i < pages.size(); i++) UnpinBlock(slots[i]);
   for (size_t i = 0; i < pages.size(); i++) {
-    NOFTL_RETURN_IF_ERROR(
-        GcStep(slots[i].die, done, options_.gc_quantum_pages));
+    NOFTL_RETURN_IF_ERROR(GcStep(slots[i].die, done));
   }
   MaybeAutoCheckpoint(pages.size(), done);
   if (complete != nullptr) *complete = done;
@@ -1186,13 +1186,17 @@ Status OutOfPlaceMapper::RelocateFromVictim(DieState& ds, uint32_t victim,
                                             uint32_t* moved) {
   // Iterate the victim's packed bitmap directly: one ctz per valid page,
   // with the die/victim state — including the block's whole OOB metadata
-  // array — resolved once for the whole batch instead of per page.
+  // array — resolved once instead of per page. The GC victim's array was
+  // resolved when it was picked (StartVictim); any other block (a scrub)
+  // resolves its own here.
   *moved = 0;
   BlockInfo& vb = ds.blocks[victim];
   if (vb.valid_count == 0 || max_pages == 0) return Status::OK();
-  const flash::PageMetadata* victim_meta =
-      device_->PeekBlockMetadata(ds.die, victim);
-  stats_.gc_meta_lookups++;
+  const flash::PageMetadata* victim_meta = ds.gc_victim_meta;
+  if (victim != ds.gc_victim) {
+    victim_meta = device_->PeekBlockMetadata(ds.die, victim);
+    stats_.gc_meta_lookups++;
+  }
   const size_t base = static_cast<size_t>(victim) * words_per_block_;
   for (uint32_t w = 0; w < words_per_block_; w++) {
     if (vb.valid_count == 0 || *moved >= max_pages) break;
@@ -1214,7 +1218,7 @@ Status OutOfPlaceMapper::RelocateFromVictim(DieState& ds, uint32_t victim,
 Status OutOfPlaceMapper::ScrubBlock(DieId die, uint32_t block, SimTime issue) {
   DieState& ds = StateOf(die);
   BlockInfo& bi = ds.blocks[block];
-  if (ds.gc_victim == block) ds.gc_victim = kNoBlock;
+  if (ds.gc_victim == block) EndVictim(ds);
   // Rescue valid pages first; the append-point roles are only detached once
   // the block is actually clear, so a failed rescue cannot strand a
   // partially-programmed block outside every index (non-active, non-free,
@@ -1519,27 +1523,52 @@ uint32_t OutOfPlaceMapper::BlockValidCount(DieId die, BlockId block) const {
   return StateOf(die).blocks[block].valid_count;
 }
 
+bool OutOfPlaceMapper::StartVictim(DieState& ds, SimTime now) {
+  const uint32_t victim = PickVictim(ds, now);
+  if (victim == kNoBlock) return false;
+  stats_.gc_runs++;
+  ds.gc_victim = victim;
+  ds.gc_victim_valid = ds.blocks[victim].valid_count;
+  // One device-metadata lookup per victim with pages to relocate: every
+  // step until the erase reuses the array (the device never reallocates a
+  // block's OOB array).
+  ds.gc_victim_meta = nullptr;
+  if (ds.gc_victim_valid > 0) {
+    ds.gc_victim_meta = device_->PeekBlockMetadata(ds.die, victim);
+    stats_.gc_meta_lookups++;
+  }
+  return true;
+}
+
+OutOfPlaceMapper::GcVictimState OutOfPlaceMapper::DebugGcVictim(
+    DieId die) const {
+  MutexLock lock(mu_);
+  GcVictimState state;
+  if (die >= die_slot_.size() || die_slot_[die] == kNoSlot) return state;
+  const DieState& ds = StateOf(die);
+  if (ds.gc_victim == kNoBlock) return state;
+  state.block = ds.gc_victim;
+  state.valid_at_pick = ds.gc_victim_valid;
+  state.valid_now = ds.blocks[ds.gc_victim].valid_count;
+  return state;
+}
+
 Status OutOfPlaceMapper::ReclaimVictim(DieId die, SimTime issue) {
   DieState& ds = StateOf(die);
 
-  if (ds.gc_victim == kNoBlock) {
-    ds.gc_victim = PickVictim(ds, issue);
-    if (ds.gc_victim == kNoBlock) {
-      return Status::NoSpace("GC found no victim on die " +
-                             std::to_string(die));
-    }
-    stats_.gc_runs++;
+  if (ds.gc_victim == kNoBlock && !StartVictim(ds, issue)) {
+    return Status::NoSpace("GC found no victim on die " + std::to_string(die));
   }
   const uint32_t victim = ds.gc_victim;
   uint32_t moved = 0;
   NOFTL_RETURN_IF_ERROR(
       RelocateFromVictim(ds, victim, ~0u, issue, &moved));
   NOFTL_RETURN_IF_ERROR(EraseOrRetire(die, victim, issue));
-  ds.gc_victim = kNoBlock;
+  EndVictim(ds);
   return Status::OK();
 }
 
-Status OutOfPlaceMapper::GcStep(DieId die, SimTime issue, uint32_t max_pages) {
+Status OutOfPlaceMapper::GcStep(DieId die, SimTime issue) {
   DieState& ds = StateOf(die);
   // Work only when the die is at/below the watermark, or to finish a victim
   // already being reclaimed.
@@ -1548,22 +1577,31 @@ Status OutOfPlaceMapper::GcStep(DieId die, SimTime issue, uint32_t max_pages) {
     return Status::OK();
   }
 
-  uint32_t budget = max_pages;
+  // The step's relocation budget is set by the first victim it relocates
+  // from: r = ceil(v / (pages_per_block - v)) pages for this host page,
+  // doubled while the die is below the low watermark (see MapperOptions).
+  bool paced = false;
+  uint32_t budget = 0;
   while (true) {
     if (ds.gc_victim == kNoBlock) {
       if (ds.free_count > options_.gc_low_watermark) return Status::OK();
-      ds.gc_victim = PickVictim(ds, issue);
-      if (ds.gc_victim == kNoBlock) {
-        // Nothing reclaimable right now; the host path reports NoSpace if
-        // it actually runs out of blocks.
-        return Status::OK();
-      }
-      stats_.gc_runs++;
+      // Nothing reclaimable right now; the host path reports NoSpace if it
+      // actually runs out of blocks.
+      if (!StartVictim(ds, issue)) return Status::OK();
     }
     if (ds.blocks[ds.gc_victim].valid_count == 0) {
       NOFTL_RETURN_IF_ERROR(EraseOrRetire(die, ds.gc_victim, issue));
-      ds.gc_victim = kNoBlock;
+      EndVictim(ds);
       continue;
+    }
+    if (!paced) {
+      // Greedy and cost-benefit never pick a fully valid block; the clamp
+      // only keeps the division defined.
+      const uint32_t v = std::min(ds.gc_victim_valid, pages_per_block_ - 1);
+      const uint32_t freed = pages_per_block_ - v;
+      budget = (v + freed - 1) / freed;
+      if (ds.free_count < options_.gc_low_watermark) budget *= 2;
+      paced = true;
     }
     if (budget == 0) return Status::OK();
     uint32_t moved = 0;
@@ -1618,7 +1656,8 @@ Status OutOfPlaceMapper::BackgroundMaintainDie(flash::DieId die, SimTime now,
 
     // Proactive GC toward the free target: same state machine as GcStep,
     // but entered above the low watermark (that is the point — reclaim on
-    // idle time so the foreground path never has to).
+    // idle time so the foreground path never has to) and with the grant's
+    // budget instead of the victim's pace.
     const uint32_t target =
         policy.free_target != 0 ? policy.free_target
                                 : options_.gc_high_watermark;
@@ -1626,9 +1665,7 @@ Status OutOfPlaceMapper::BackgroundMaintainDie(flash::DieId die, SimTime now,
     while (status.ok()) {
       if (ds.gc_victim == kNoBlock) {
         if (ds.free_count >= target) break;
-        ds.gc_victim = PickVictim(ds, now);
-        if (ds.gc_victim == kNoBlock) break;  // nothing reclaimable
-        stats_.gc_runs++;
+        if (!StartVictim(ds, now)) break;  // nothing reclaimable
       }
       if (ds.blocks[ds.gc_victim].valid_count == 0) {
         if (work.gc_erases >= policy.max_erases) {
@@ -1641,7 +1678,7 @@ Status OutOfPlaceMapper::BackgroundMaintainDie(flash::DieId die, SimTime now,
           break;
         }
         const uint32_t victim = ds.gc_victim;
-        ds.gc_victim = kNoBlock;
+        EndVictim(ds);
         status = EraseOrRetire(die, victim, now);
         if (status.ok()) work.gc_erases++;
         continue;
@@ -1839,8 +1876,7 @@ Status OutOfPlaceMapper::RemoveDie(DieId die, SimTime issue) {
       StateOf(target).blocks[target_slot.block].last_update = pr.complete;
       stats_.wl_migrated_pages++;
       // Keep GC pacing on the receiving die during the migration burst.
-      NOFTL_RETURN_IF_ERROR(
-          GcStep(target, pr.complete, options_.gc_quantum_pages));
+      NOFTL_RETURN_IF_ERROR(GcStep(target, pr.complete));
     }
   }
 

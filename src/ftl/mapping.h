@@ -66,15 +66,19 @@ enum class VictimIndex : uint8_t {
 
 /// Tuning knobs for one mapper instance.
 struct MapperOptions {
-  /// Background GC keeps every die at or above this many free blocks...
+  /// Foreground GC runs on a die once its free blocks drop to this many,
+  /// paced by its victim: after each host page written to the die, it
+  /// relocates r = ceil(v / (pages_per_block - v)) pages of its current
+  /// victim, where v is the victim's valid count when it was picked — the
+  /// rate at which reclaiming it exactly replaces the space the host
+  /// consumes (one page per write for victims under half valid). r doubles
+  /// while the die has fewer free blocks than this. Steps stay one copyback
+  /// long behind host reads where victims are sparse and still keep pace on
+  /// nearly-full ones; only a die with no free block at all stalls the host
+  /// write for a full victim reclamation.
   uint32_t gc_low_watermark = 2;
-  /// ...and ForceGc / emergency reclamation aim for this many.
+  /// ForceGc and emergency reclamation aim for this many free blocks.
   uint32_t gc_high_watermark = 4;
-  /// Pages relocated per incremental GC step. GC runs as small quanta
-  /// appended after host programs (controllers interleave GC with host
-  /// traffic); only a die with no free block at all stalls the host write
-  /// for a full victim reclamation.
-  uint32_t gc_quantum_pages = 4;
   VictimPolicy victim_policy = VictimPolicy::kGreedy;
   /// Allocate least-erased free blocks first (dynamic wear leveling).
   bool dynamic_wear_leveling = true;
@@ -138,10 +142,10 @@ struct MapperStats {
   /// Wall-clock time spent in those selections, ns (a host-CPU cost for
   /// benches; simulated time never depends on it).
   RelaxedCounter victim_pick_wall_ns = 0;
-  /// Device-metadata lookups made by GC relocation. One per *victim block
-  /// visit* (the whole block's OOB array is resolved at once), not one per
-  /// relocated page — the counter proves the per-page PeekMetadata cost is
-  /// gone (ROADMAP: next-largest mapper cost after the PR 1 victim fix).
+  /// Device-metadata lookups made by GC relocation. One per *victim block*
+  /// (the whole block's OOB array is resolved when the victim is picked and
+  /// reused by every step until its erase), not one per relocated page —
+  /// the counter proves the per-page PeekMetadata cost is gone.
   RelaxedCounter gc_meta_lookups = 0;
   RelaxedCounter checkpoints_written = 0;
   /// Recovery cost attribution, set on the mapper RecoverFromDevice
@@ -548,6 +552,16 @@ class OutOfPlaceMapper {
   /// of this mapper or the block is out of range.
   uint32_t BlockValidCount(flash::DieId die, flash::BlockId block) const;
 
+  /// The victim GC is reclaiming on a die (test aid): its block (kNoVictim
+  /// when none or the die is not part of this mapper), and its valid count
+  /// when it was picked and now.
+  struct GcVictimState {
+    uint32_t block = kNoVictim;
+    uint32_t valid_at_pick = 0;
+    uint32_t valid_now = 0;
+  };
+  GcVictimState DebugGcVictim(flash::DieId die) const;
+
  private:
   static constexpr uint32_t kNoBlock = ~0u;
   static constexpr uint32_t kNoSlot = ~0u;
@@ -596,8 +610,13 @@ class OutOfPlaceMapper {
     uint32_t free_max = 0;    ///< highest possibly-non-empty free bucket
     uint32_t host_active = kNoBlock;
     uint32_t gc_active = kNoBlock;
-    /// Victim currently being reclaimed incrementally (kNoBlock = none).
+    /// Victim currently being reclaimed incrementally (kNoBlock = none),
+    /// its valid count when picked (sets the GC pace, see MapperOptions),
+    /// and its OOB metadata array, resolved once at the pick and valid
+    /// until the victim's erase.
     uint32_t gc_victim = kNoBlock;
+    uint32_t gc_victim_valid = 0;
+    const flash::PageMetadata* gc_victim_meta = nullptr;
     /// Write-admission state (hysteresis: set below throttle_low_watermark,
     /// cleared at throttle_high_watermark). Always false when throttling is
     /// disabled.
@@ -705,11 +724,22 @@ class OutOfPlaceMapper {
   /// `issue` and extend the die horizon (queueing model).
   Status CollectDie(flash::DieId die, SimTime issue) REQUIRES(mu_);
 
-  /// One incremental GC step on `die`: relocate up to `max_pages` valid
-  /// pages out of the current victim (picking one if needed) and erase it
-  /// once empty. No-op when the die is at/above the low watermark.
-  Status GcStep(flash::DieId die, SimTime issue, uint32_t max_pages)
-      REQUIRES(mu_);
+  /// One incremental GC step on `die`, run after one host page was written
+  /// there: relocate the victim's pace of valid pages (picking a victim if
+  /// needed; see MapperOptions for the rule) and erase it once empty. No-op
+  /// while the die is above the low watermark and no victim is in progress.
+  Status GcStep(flash::DieId die, SimTime issue) REQUIRES(mu_);
+
+  /// Start reclaiming a new victim on `ds`: pick it, count the GC run,
+  /// record its valid count and resolve its OOB metadata array. False when
+  /// no block is eligible.
+  bool StartVictim(DieState& ds, SimTime now) REQUIRES(mu_);
+  /// Forget the current victim (it was erased or is being scrubbed).
+  static void EndVictim(DieState& ds) {
+    ds.gc_victim = kNoBlock;
+    ds.gc_victim_valid = 0;
+    ds.gc_victim_meta = nullptr;
+  }
 
   /// Fully reclaim one victim block (relocate all valid pages, erase).
   Status ReclaimVictim(flash::DieId die, SimTime issue) REQUIRES(mu_);

@@ -140,27 +140,25 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
     return s;
   }
 
-  Merged merged;
-  merged.issue = issue;
-  merged.parent = batch;
-
   if (all_shard0 && !(mutates && degraded_[0])) {
     // Passthrough: shard-0 local lpns equal the encoded lpns, so the
     // caller's batch goes down untouched — a 1-shard ShardedSpace is
-    // operation-for-operation the unsharded stack. Nothing here allocates
-    // but the pending entry; the one read of shard 0's degraded flag
-    // serves the whole submission.
-    merged.passthrough = true;
-    Status s =
-        shards_[0]->SubmitBatch(batch, issue, &merged.passthrough_ticket);
+    // operation-for-operation the unsharded stack. The returned ticket is
+    // shard 0's own, tagged: nothing is allocated and no lock is taken, and
+    // the one read of shard 0's degraded flag serves the whole submission.
+    IoTicket shard_ticket = 0;
+    Status s = shards_[0]->SubmitBatch(batch, issue, &shard_ticket);
     if (!s.ok()) return s;  // slots already delivered by the backend
+    assert((shard_ticket & kPassthroughTag) == 0);
     stats_.passthrough_batches++;
     stats_.requests_per_shard[0] += batch->size();
-    *ticket = next_ticket_++;
-    MutexLock lock(mu_);
-    pending_.emplace(*ticket, std::move(merged));
+    *ticket = shard_ticket | kPassthroughTag;
     return Status::OK();
   }
+
+  Merged merged;
+  merged.issue = issue;
+  merged.parent = batch;
 
   // One read of the degraded flags serves the rest of the submission: the
   // router may degrade a shard concurrently, and the atomic-batch check and
@@ -262,6 +260,12 @@ void ShardedSpace::DeliverMirrors(const SubBatch& sub, const Status& error) {
 }
 
 Status ShardedSpace::WaitBatch(IoTicket ticket, SimTime* complete) {
+  if ((ticket & kPassthroughTag) != 0) {
+    // Shard 0 reaps its own ticket; its finish time is the same
+    // max(issue, MaxComplete()) a merged batch reports (SpaceProvider
+    // contract), and an unknown ticket is its no-op too.
+    return shards_[0]->WaitBatch(ticket & ~kPassthroughTag, complete);
+  }
   // Detach under the lock before reaping, so a concurrent WaitBatch on
   // another thread can never double-reap the entry.
   Merged m;
@@ -273,18 +277,14 @@ Status ShardedSpace::WaitBatch(IoTicket ticket, SimTime* complete) {
     pending_.erase(it);
   }
 
+  // The merged batch retires at the max over its shards. Sub-batches are
+  // reaped in shard order and each shard delivers its requests in
+  // submission order, so same-shard FIFO survives the merge.
   Status first_error;
-  if (m.passthrough) {
-    first_error = shards_[0]->WaitBatch(m.passthrough_ticket, nullptr);
-  } else {
-    // The merged batch retires at the max over its shards. Sub-batches are
-    // reaped in shard order and each shard delivers its requests in
-    // submission order, so same-shard FIFO survives the merge.
-    for (SubBatch& sub : m.subs) {
-      Status s = shards_[sub.shard]->WaitBatch(sub.ticket, nullptr);
-      DeliverMirrors(sub, s);
-      if (first_error.ok()) first_error = s;
-    }
+  for (SubBatch& sub : m.subs) {
+    Status s = shards_[sub.shard]->WaitBatch(sub.ticket, nullptr);
+    DeliverMirrors(sub, s);
+    if (first_error.ok()) first_error = s;
   }
   if (complete != nullptr) {
     *complete = std::max(m.issue, m.parent->MaxComplete());

@@ -29,19 +29,21 @@
 // reaped, then its mirrored slots are copied back to their parent requests),
 // and same-shard requests are booked in submission order. A
 // batch whose requests all live on shard 0 (notably: every batch of a
-// 1-shard space) is passed through untouched, so a 1-shard ShardedSpace is
-// operation-for-operation identical to the unsharded stack. Atomic batches
+// 1-shard space) is passed through untouched under shard 0's own ticket
+// (tagged, so the router keeps no entry for it), so a 1-shard ShardedSpace
+// is operation-for-operation identical to the unsharded stack. Atomic batches
 // are single-shard by construction of the paper's mechanism (one mapper
 // stamps the batch); a cross-shard atomic submission is cleanly rejected
 // with every slot failed and no ticket.
 // Thread safety: N workers may submit and wait concurrently; each merged
-// ticket is reaped by one caller. The ticket map is guarded by `mu_`, which
-// WaitBatch takes only to detach its entry; sub-shard Submit/Wait calls
-// happen with `mu_` released (the shards have their own latches). Ticket
-// issue and the stats/degraded flags are lock-free atomics, and the
-// placement-hint override is thread-local so one loader thread's pin never
-// leaks into another's allocation. In the default single-thread mode every
-// code path is byte-identical to the unlatched stack.
+// ticket is reaped by one caller. The merged-ticket map is guarded by
+// `mu_`, which WaitBatch takes only to detach its entry (passthrough tickets
+// never touch it); sub-shard Submit/Wait calls happen with `mu_` released
+// (the shards have their own latches). Ticket issue and the stats/degraded
+// flags are lock-free atomics, and the placement-hint override is
+// thread-local so one loader thread's pin never leaks into another's
+// allocation. In the default single-thread mode every code path is
+// byte-identical to the unlatched stack.
 #pragma once
 
 #include <cstdint>
@@ -140,7 +142,8 @@ class ShardedSpace : public storage::SpaceProvider {
                      storage::IoTicket* ticket) override;
   Status WaitBatch(storage::IoTicket ticket, SimTime* complete) override;
 
-  /// Merged batches submitted but not fully reaped.
+  /// Scattered (merged) batches submitted but not fully reaped; passthrough
+  /// batches are tracked by shard 0 alone.
   size_t PendingBatches() const {
     MutexLock lock(mu_);
     return pending_.size();
@@ -160,13 +163,16 @@ class ShardedSpace : public storage::SpaceProvider {
 
   struct Merged {
     SimTime issue = 0;
-    /// All requests live on shard 0: the caller's batch went down untouched.
-    bool passthrough = false;
-    storage::IoTicket passthrough_ticket = 0;
     /// The caller's batch; alive until reaped (SpaceProvider contract).
     storage::IoBatch* parent = nullptr;
     std::vector<SubBatch> subs;
   };
+
+  /// Marks a passthrough ticket: the low bits are shard 0's own ticket, so
+  /// a passthrough submission needs no entry in pending_. Merged tickets
+  /// count up from 1 and never reach the tag bit.
+  static constexpr storage::IoTicket kPassthroughTag = storage::IoTicket{1}
+                                                       << 63;
 
   size_t PickShard(uint64_t key) const REQUIRES(alloc_mu_);
   /// Copy a reaped sub-batch's completion slots back to the parent requests

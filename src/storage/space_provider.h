@@ -59,7 +59,9 @@ class SpaceProvider {
                              IoTicket* ticket) = 0;
 
   /// Reap all requests of `ticket`, filling their completion slots;
-  /// `*complete` (if non-null) receives the batch finish time. No-op for an
+  /// `*complete` (if non-null) receives the batch finish time: the latest
+  /// completion among its successful requests, and at least the issue time
+  /// (max(issue, IoBatch::MaxComplete())). No-op that returns OK for an
   /// unknown or already-reaped ticket. Exactly one caller reaps a ticket.
   virtual Status WaitBatch(IoTicket ticket, SimTime* complete) = 0;
 

@@ -330,12 +330,12 @@ TEST(CheckpointTriggerTest, WriteAfterTornRecoveryAvoidsNewestValidSlot) {
 
 TEST(CheckpointQuiesceTest, MidVictimTiesResolveLikeFullScan) {
   // Regression for the checkpoint quiesce. This exact configuration
-  // (single die, quantum-1 GC, most-worn-first allocation, seed 6) leaves
-  // a half-reclaimed victim at checkpoint time whose already-relocated
-  // pages tie on version with their new copies *at a higher physical
-  // address* — without the quiesce, a full scan maps the stale victim copy
-  // while the checkpoint maps the relocated one, and the two recovery
-  // paths disagree on the L2P.
+  // (single die, most-worn-first allocation, seed 6, 1089 writes) leaves a
+  // half-reclaimed victim at checkpoint time (asserted below) whose
+  // already-relocated pages tie on version with their new copies *at a
+  // higher physical address* — without the quiesce, a full scan maps the
+  // stale victim copy while the checkpoint maps the relocated one, and the
+  // two recovery paths disagree on the L2P.
   flash::FlashGeometry geo;
   geo.channels = 1;
   geo.dies_per_channel = 1;
@@ -345,7 +345,6 @@ TEST(CheckpointQuiesceTest, MidVictimTiesResolveLikeFullScan) {
   geo.page_size = 256;
   MapperOptions opts;
   opts.checkpoint_slots = 2;
-  opts.gc_quantum_pages = 1;
   opts.gc_low_watermark = 3;
   opts.gc_high_watermark = 5;
   opts.dynamic_wear_leveling = false;
@@ -356,11 +355,17 @@ TEST(CheckpointQuiesceTest, MidVictimTiesResolveLikeFullScan) {
     OutOfPlaceMapper m(dev, {0}, kPages, opts);
     Rng rng(6);
     std::vector<char> buf(geo.page_size, 'x');
-    for (int i = 0; i < 1100; i++) {
+    for (int i = 0; i < 1089; i++) {
       buf[0] = static_cast<char>(rng.Below(250) + 1);
       ASSERT_TRUE(m.Write(rng.Below(kPages), 0, flash::OpOrigin::kHost,
                           buf.data(), 0, nullptr).ok());
     }
+    // The precondition the quiesce exists for: GC has relocated some of its
+    // victim's pages and not yet erased it.
+    const OutOfPlaceMapper::GcVictimState victim = m.DebugGcVictim(0);
+    ASSERT_NE(victim.block, OutOfPlaceMapper::kNoVictim);
+    ASSERT_GT(victim.valid_now, 0u);
+    ASSERT_LT(victim.valid_now, victim.valid_at_pick);
     ASSERT_TRUE(m.WriteCheckpoint(0, nullptr).ok());
   };
   run(&device_a);

@@ -95,6 +95,67 @@ TEST(DatabaseTest, DefaultOptionsOpenOneShardRouter) {
   }
 }
 
+// On one shard every batch passes through to shard 0 under a tagged ticket
+// of shard 0's own. Its reap must still report the batch's finish time as
+// max(issue, MaxComplete()), and an unknown or already-reaped ticket must
+// still be a no-op that returns OK.
+TEST(DatabaseTest, OneShardPassthroughTicketsReapLikeMergedBatches) {
+  auto db = Database::Open(SmallOptions());
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->ExecuteDdl("CREATE REGION r (MAX_CHIPS=4);").ok());
+  shard::ShardedSpace* space = (*db)->shards()->space("r");
+  ASSERT_NE(space, nullptr);
+  auto extent = space->AllocateExtent(8);
+  ASSERT_TRUE(extent.ok());
+  const uint32_t page_size = space->page_size();
+  const std::vector<char> data(page_size, 'w');
+
+  const uint64_t passthrough_before = space->stats().passthrough_batches;
+  storage::IoBatch writes;
+  for (uint64_t i = 0; i < 4; i++) writes.AddWrite(*extent + i, data.data(), 1);
+  storage::IoTicket ticket = 0;
+  ASSERT_TRUE(space->SubmitBatch(&writes, 100, &ticket).ok());
+  ASSERT_NE(ticket, 0u);
+  EXPECT_EQ(space->PendingBatches(), 0u);  // no router-side entry
+  SimTime done = 0;
+  ASSERT_TRUE(space->WaitBatch(ticket, &done).ok());
+  ASSERT_TRUE(writes.FirstError().ok());
+  EXPECT_EQ(done, std::max<SimTime>(100, writes.MaxComplete()));
+  EXPECT_GT(done, 100u);
+
+  // Mixed outcome: the never-written page fails with NotFound and does not
+  // count toward the finish time.
+  std::vector<std::vector<char>> bufs(5, std::vector<char>(page_size));
+  storage::IoBatch reads;
+  for (uint64_t i = 0; i < 5; i++) reads.AddRead(*extent + i, bufs[i].data());
+  const SimTime issue = done;
+  ASSERT_TRUE(space->SubmitBatch(&reads, issue, &ticket).ok());
+  SimTime read_done = 0;
+  ASSERT_TRUE(space->WaitBatch(ticket, &read_done).ok());
+  EXPECT_TRUE(reads.AllDone());
+  EXPECT_TRUE(reads[4].status.IsNotFound());
+  EXPECT_EQ(read_done, std::max(issue, reads.MaxComplete()));
+  EXPECT_GT(read_done, issue);
+
+  // Every request fails: the batch finishes at its issue time.
+  storage::IoBatch missing;
+  missing.AddRead(*extent + 6, bufs[0].data());
+  ASSERT_TRUE(space->SubmitBatch(&missing, read_done, &ticket).ok());
+  SimTime missing_done = 0;
+  ASSERT_TRUE(space->WaitBatch(ticket, &missing_done).ok());
+  EXPECT_TRUE(missing[0].status.IsNotFound());
+  EXPECT_EQ(missing_done, read_done);
+  EXPECT_EQ(space->stats().passthrough_batches, passthrough_before + 3);
+
+  // Reaping again, or a ticket never issued, is an OK no-op that leaves
+  // the completion time untouched.
+  SimTime untouched = 7;
+  EXPECT_TRUE(space->WaitBatch(ticket, &untouched).ok());
+  EXPECT_TRUE(space->WaitBatch(ticket + 1000, &untouched).ok());
+  EXPECT_TRUE(space->WaitBatch(12345, &untouched).ok());
+  EXPECT_EQ(untouched, 7u);
+}
+
 TEST(DatabaseTest, PaperDdlScriptEndToEnd) {
   auto db = Database::Open(SmallOptions());
   ASSERT_TRUE(db.ok());

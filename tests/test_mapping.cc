@@ -485,6 +485,61 @@ TEST(MapperBucketTest, AtomicBatchSurvivesEmergencyGcDuringPhase1) {
   }
 }
 
+// --- Foreground GC pace ----------------------------------------------
+
+// One die of 32 blocks x 8 pages, low watermark 4. Sequential writes of
+// lpns [0, prefill) fill whole blocks with valid data (no victim exists, so
+// GC finds nothing to do however low the die runs); trimming the first
+// `trimmed` lpns then leaves their block the only candidate, with
+// v = 8 - trimmed valid pages. Returns the copybacks of the next host write
+// and checks that it picked exactly that victim.
+uint64_t CopybacksOfNextWrite(uint64_t prefill, uint32_t trimmed) {
+  flash::FlashGeometry geo = TinyGeometry(32, 8);
+  geo.channels = 1;
+  geo.dies_per_channel = 1;
+  flash::FlashDevice device(geo, flash::FlashTiming{});
+  MapperOptions options;
+  options.gc_low_watermark = 4;
+  options.gc_high_watermark = 6;
+  OutOfPlaceMapper mapper(&device, {0}, /*logical_pages=*/256, options);
+  std::vector<char> data(geo.page_size, 'p');
+  for (uint64_t lpn = 0; lpn < prefill; lpn++) {
+    EXPECT_TRUE(mapper.Write(lpn, 0, flash::OpOrigin::kHost, data.data(), 0,
+                             nullptr).ok());
+  }
+  EXPECT_EQ(mapper.stats().gc_runs, 0u);
+  for (uint64_t lpn = 0; lpn < trimmed; lpn++) {
+    EXPECT_TRUE(mapper.Trim(lpn).ok());
+  }
+  const uint64_t before = mapper.stats().gc_copybacks;
+  EXPECT_TRUE(mapper.Write(prefill, 0, flash::OpOrigin::kHost, data.data(), 0,
+                           nullptr).ok());
+  EXPECT_EQ(mapper.stats().gc_runs, 1u);
+  const uint64_t moved = mapper.stats().gc_copybacks - before;
+  const OutOfPlaceMapper::GcVictimState victim = mapper.DebugGcVictim(0);
+  if (victim.block != OutOfPlaceMapper::kNoVictim) {
+    EXPECT_EQ(victim.valid_at_pick, 8 - trimmed);
+    EXPECT_EQ(victim.valid_now, 8 - trimmed - moved);
+  }
+  EXPECT_TRUE(mapper.VerifyIntegrity().ok());
+  return moved;
+}
+
+TEST(MapperGcPaceTest, RelocatesVictimRatePerHostWrite) {
+  // 216 prefilled pages: the next write opens the die's 28th block, leaving
+  // 4 free blocks — at the low watermark, not below it. The pace is
+  // ceil(v / (8 - v)).
+  EXPECT_EQ(CopybacksOfNextWrite(216, /*trimmed=*/4), 1u);  // v = 4
+  EXPECT_EQ(CopybacksOfNextWrite(216, /*trimmed=*/2), 3u);  // v = 6
+  EXPECT_EQ(CopybacksOfNextWrite(216, /*trimmed=*/5), 1u);  // v = 3
+}
+
+TEST(MapperGcPaceTest, PaceDoublesBelowLowWatermark) {
+  // 225 prefilled pages: 3 free blocks, one below the watermark.
+  EXPECT_EQ(CopybacksOfNextWrite(225, /*trimmed=*/4), 2u);  // v = 4
+  EXPECT_EQ(CopybacksOfNextWrite(225, /*trimmed=*/2), 6u);  // v = 6
+}
+
 // --- Property test: shadow-model comparison across policies ----------
 
 struct PropertyParam {
